@@ -35,6 +35,7 @@ from .graphstate import (
     z_op,
     x_op,
     edge_unitary,
+    RegisterTooLarge,
     build_graph_state,
     stabilizer_generators,
 )
@@ -47,6 +48,7 @@ from .schmidt import (
     derive_setting,
     build_povm,
     joint_distribution,
+    outcome_table,
 )
 from .infotheory import (
     CqEnsemble,

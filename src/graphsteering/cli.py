@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cloner import dirichlet_gamma, no_sharing_sum
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
-from .graphstate import build_graph_state
+from .graphstate import RegisterTooLarge, build_graph_state
 from .protocol import ProtocolConfig, estimate_rates, run_protocol
 from .schmidt import NoCorrelationForm
 from .steering import (
@@ -30,7 +30,6 @@ from .steering import (
     key_rate_scan,
     noise_threshold,
     steering_statistic,
-    white_noise,
 )
 from .steering import derive_both_settings
 from . import verify as verify_mod
@@ -83,6 +82,11 @@ def _csv_cell(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _refuse(exc: Exception, code: int = EXIT_VALIDATION):
+    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+    raise SystemExit(code)
 
 
 def _load_graph(path: str):
@@ -144,15 +148,12 @@ def certify(graph_file, partition, p, fmt, out):
         click.echo("error: --p must be in [0, 1]", err=True)
         raise SystemExit(EXIT_VALIDATION)
     try:
-        settings = derive_both_settings(g, d, part)
-        rho = white_noise(build_graph_state(g, d), p)
-        report = steering_statistic(rho, settings, part)
-    except NotTwoColorable as exc:
-        click.echo(f"error: NotTwoColorable: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        psi = build_graph_state(g, d)  # size guard before the d^|class| setting search
+        report = steering_statistic(psi, derive_both_settings(g, d, part), part, p)
+    except (NotTwoColorable, RegisterTooLarge) as exc:
+        _refuse(exc)
     except NoCorrelationForm as exc:
-        click.echo(f"error: NoCorrelationForm: {exc}", err=True)
-        raise SystemExit(EXIT_DERIVATION)
+        _refuse(exc, EXIT_DERIVATION)
     manifest = _manifest(
         "certify", {"graph_file": graph_file, "partition": sorted(part.side_a), "p": p}
     )
@@ -204,7 +205,11 @@ def fig4(d_list, n, p_max, steps, out):
     for d in dims:
         g = make_star(n)
         part = Bipartition.from_side_a(g, {1})
-        for p, i_total, r_lower in key_rate_scan(g, d, part, grid):
+        try:
+            scan = key_rate_scan(g, d, part, grid)
+        except RegisterTooLarge as exc:
+            _refuse(exc)
+        for p, i_total, r_lower in scan:
             rows.append((d, n, p, i_total, r_lower))
             closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))
             deviation = max(deviation, abs(i_total - closed))
@@ -300,9 +305,10 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
         raise SystemExit(EXIT_VALIDATION)
     try:
         transcript = run_protocol(cfg)
+    except (NotTwoColorable, RegisterTooLarge) as exc:
+        _refuse(exc)
     except NoCorrelationForm as exc:
-        click.echo(f"error: NoCorrelationForm: {exc}", err=True)
-        raise SystemExit(EXIT_DERIVATION)
+        _refuse(exc, EXIT_DERIVATION)
     est = estimate_rates(transcript, d)
     if out:
         buf = io.StringIO()

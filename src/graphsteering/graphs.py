@@ -130,6 +130,11 @@ def make_chain(n: int) -> Graph:
     return Graph(n, frozenset((k, k + 1) for k in range(1, n)))
 
 
+def _is_int(x) -> bool:
+    """JSON integer: json.loads gives bool for true/false, which Python counts as int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_graph(text: str):
     """Parse the JSON graph format {"n": int, "d": int, "edges": [[i,j], ...]}.
 
@@ -146,9 +151,9 @@ def parse_graph(text: str):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     n, d, edges = doc["n"], doc["d"], doc["edges"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
-    if not isinstance(d, int) or d < 2:
+    if not _is_int(d) or d < 2:
         raise ValueError(f"field 'd' must be an integer >= 2, got {d!r}")
     if not isinstance(edges, list):
         raise ValueError("field 'edges' must be a list of [i, j] pairs")
@@ -158,7 +163,7 @@ def parse_graph(text: str):
         if (
             not isinstance(e, list)
             or len(e) != 2
-            or not all(isinstance(x, int) for x in e)
+            or not all(_is_int(x) for x in e)
         ):
             raise ValueError(f"edges[{k}] must be a pair of integers, got {e!r}")
         i, j = e

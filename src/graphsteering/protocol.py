@@ -19,8 +19,8 @@ import numpy as np
 from .cloner import bell_state, phase_covariant_gamma
 from .graphs import Bipartition, Graph
 from .graphstate import build_graph_state, fourier_op
-from .steering import derive_both_settings, white_noise
-from .schmidt import build_povm, joint_distribution
+from .steering import derive_both_settings
+from .schmidt import mix_white_noise, outcome_table
 
 
 class InsufficientData(RuntimeError):
@@ -115,23 +115,18 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
     tables = {}
     if cfg.cloner_disturbance is None:
+        psi = build_graph_state(cfg.graph, cfg.d)
         settings = derive_both_settings(cfg.graph, cfg.d, cfg.part)
-        povms = {
-            m: (build_povm(settings[m - 1], "A", cfg.d), build_povm(settings[m - 1], "B", cfg.d))
-            for m in (1, 2)
-        }
-        rho = white_noise(build_graph_state(cfg.graph, cfg.d), cfg.noise_p)
         for ma in (1, 2):
             for mb in (1, 2):
-                tables[(ma, mb)] = joint_distribution(
-                    rho, povms[ma][0], povms[mb][1], cfg.part
+                tables[(ma, mb)] = outcome_table(
+                    psi, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
                 )
     else:
-        uniform = np.full((cfg.d, cfg.d), 1.0 / cfg.d ** 2)
         for ma in (1, 2):
             for mb in (1, 2):
                 clean = _schmidt_space_table(cfg.d, cfg.cloner_disturbance, ma, mb)
-                tables[(ma, mb)] = (1.0 - cfg.noise_p) * clean + cfg.noise_p * uniform
+                tables[(ma, mb)] = mix_white_noise(clean, cfg.noise_p)
     return tables
 
 

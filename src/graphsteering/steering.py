@@ -10,7 +10,7 @@ from .graphs import Bipartition, Graph, two_color
 from .graphstate import build_graph_state
 from .infotheory import mutual_information
 from .registers import DensityOperator, PureState
-from .schmidt import build_povm, derive_setting, joint_distribution
+from .schmidt import derive_setting, mix_white_noise, outcome_table
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
@@ -34,7 +34,11 @@ class KeyRateReport:
 
 
 def white_noise(psi: PureState, p: float) -> DensityOperator:
-    """Mix a pure state with the maximally mixed operator at intensity p."""
+    """Mix a pure state with the maximally mixed operator at intensity p.
+
+    A dense d^2N oracle for tests; certification mixes noise into the joint
+    table instead (``schmidt.mix_white_noise``).
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
     dim = psi.register.total_dim
@@ -47,22 +51,14 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
-def _povm_pairs(settings, d: int):
-    return [(build_povm(s, "A", d), build_povm(s, "B", d)) for s in settings]
-
-
-def _mutual_informations(rho: DensityOperator, povm_pairs, part: Bipartition):
-    return tuple(
-        mutual_information(joint_distribution(rho, pa, pb, part)) for pa, pb in povm_pairs
-    )
-
-
 def steering_statistic(
-    rho: DensityOperator, settings, part: Bipartition
+    psi: PureState, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
-    """Per-setting mutual information versus the log2(d) entropic floor."""
-    d = rho.register.local_dim
-    i_per = _mutual_informations(rho, _povm_pairs(settings, d), part)
+    """Per-setting mutual information of the p-noisy state versus the log2(d) floor."""
+    d = psi.register.local_dim
+    i_per = tuple(
+        mutual_information(outcome_table(psi, s, s, part, p)) for s in settings
+    )
     i_total = float(sum(i_per))
     threshold = float(np.log2(d))
     margin = i_total - threshold
@@ -75,20 +71,27 @@ def steering_statistic(
     )
 
 
+def _noiseless_tables(g: Graph, d: int, part: Bipartition):
+    """One noiseless joint table per setting; the state is built (and size-checked) first."""
+    psi = build_graph_state(g, d)
+    return [outcome_table(psi, s, s, part) for s in derive_both_settings(g, d, part)]
+
+
+def _noisy_i_total(tables, p: float) -> float:
+    return float(sum(mutual_information(mix_white_noise(t, p)) for t in tables))
+
+
 def noise_threshold(g: Graph, d: int, part: Bipartition, tol: float = 1e-8) -> float:
     """Noise intensity where the certified total information hits log2(d).
 
     Bisection on p; below the returned value the noisy state is certified
     steerable.
     """
-    settings = derive_both_settings(g, d, part)
-    pairs = _povm_pairs(settings, d)
-    psi = build_graph_state(g, d)
+    tables = _noiseless_tables(g, d, part)
     threshold = np.log2(d)
 
     def excess(p: float) -> float:
-        rho = white_noise(psi, p)
-        return sum(_mutual_informations(rho, pairs, part)) - threshold
+        return _noisy_i_total(tables, p) - threshold
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = excess(lo), excess(hi)
@@ -152,13 +155,10 @@ def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid):
     p_grid = list(p_grid)
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("noise grid must lie in [0, 1]")
-    settings = derive_both_settings(g, d, part)
-    pairs = _povm_pairs(settings, d)
-    psi = build_graph_state(g, d)
+    tables = _noiseless_tables(g, d, part)
     threshold = float(np.log2(d))
     rows = []
     for p in p_grid:
-        rho = white_noise(psi, p)
-        i_total = float(sum(_mutual_informations(rho, pairs, part)))
+        i_total = _noisy_i_total(tables, p)
         rows.append((float(p), i_total, max(0.0, i_total - threshold)))
     return rows

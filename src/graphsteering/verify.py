@@ -16,23 +16,22 @@ from . import (
     dirichlet_gamma,
     disturbance_entropy,
     fourier_op,
-    joint_distribution,
     make_chain,
     make_star,
     mutual_information,
     no_sharing_sum,
     noise_threshold,
+    outcome_table,
     partial_trace,
     random_state,
     schmidt_decompose,
     stabilizer_generators,
     two_color,
-    white_noise,
     x_op,
     z_op,
 )
 from .registers import QuditRegister, states_equal_up_to_phase
-from .steering import derive_both_settings, _povm_pairs
+from .steering import derive_both_settings
 
 
 def check_operator_unitarity():
@@ -85,10 +84,9 @@ def check_ideal_correlations():
     for d in (2, 3):
         for g in (make_star(3), make_chain(4)):
             part = Bipartition.from_side_a(g, {1})
-            settings = derive_both_settings(g, d, part)
-            rho = build_graph_state(g, d).density()
-            for pa, pb in _povm_pairs(settings, d):
-                table = joint_distribution(rho, pa, pb, part)
+            psi = build_graph_state(g, d)
+            for s in derive_both_settings(g, d, part):
+                table = outcome_table(psi, s, s, part)
                 assert np.max(np.abs(table - np.eye(d) / d)) < 1e-10
 
 

@@ -74,6 +74,28 @@ class TestCertify:
         res = runner.invoke(main, ["certify", star3_file, "--p", "1.5"])
         assert res.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": true, "d": 2, "edges": []}', "field 'n'"),
+            ('{"n": 3, "d": 2, "edges": [[true, 2], [1, 3]]}', "edges[0]"),
+        ],
+    )
+    def test_boolean_field_exit_2(self, runner, tmp_path, text, field):
+        path = tmp_path / "bool.json"
+        path.write_text(text)
+        res = runner.invoke(main, ["certify", str(path)])
+        assert res.exit_code == 2
+        assert field in res.stderr
+
+    def test_oversized_register_exit_2(self, runner, tmp_path):
+        # refused before the 2^63-candidate setting search or any allocation
+        path = tmp_path / "star64.json"
+        path.write_text(json.dumps({"n": 64, "d": 2, "edges": [[1, k] for k in range(2, 65)]}))
+        res = runner.invoke(main, ["certify", str(path)])
+        assert res.exit_code == 2
+        assert "RegisterTooLarge" in res.stderr
+
     def test_csv_format(self, runner, star3_file):
         res = runner.invoke(main, ["certify", star3_file, "--format", "csv"])
         assert res.exit_code == 0
@@ -129,6 +151,11 @@ class TestFig4:
             outputs.append([float(r[4]) for r in rows])
         for other in outputs[1:]:
             assert max(abs(a - b) for a, b in zip(outputs[0], other)) < 1e-9
+
+    def test_oversized_register_exit_2(self, runner):
+        res = runner.invoke(main, ["fig4", "--d", "2", "--n", "64", "--steps", "2"])
+        assert res.exit_code == 2
+        assert "RegisterTooLarge" in res.stderr
 
     def test_bad_ranges_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--n", "1"])
@@ -223,6 +250,11 @@ class TestQss:
     def test_bad_disturbance_exit_2(self, runner):
         res = runner.invoke(main, ["qss", "--disturbance", "0.9"])
         assert res.exit_code == 2
+
+    def test_odd_cycle_exit_2(self, runner, triangle_file):
+        res = runner.invoke(main, ["qss", "--graph-file", triangle_file, "--rounds", "10"])
+        assert res.exit_code == 2
+        assert "NotTwoColorable" in res.stderr
 
     def test_graph_file_with_d3(self, runner, tmp_path):
         path = tmp_path / "chain4d3.json"

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 
@@ -155,3 +156,19 @@ class TestBipartition:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError):
             Bipartition(frozenset({1}), frozenset({1, 2}))
+
+
+class TestParseGraphRejectsBooleans:
+    # json.loads maps true/false to bool, a subclass of int
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ('{"n": true, "d": 2, "edges": []}', "'n'"),
+            ('{"n": 3, "d": true, "edges": [[1, 2]]}', "'d'"),
+            ('{"n": 3, "d": 2, "edges": [[true, 2], [1, 3]]}', "edges[0]"),
+            ('{"n": 3, "d": 2, "edges": [[1, 2], [1, false]]}', "edges[1]"),
+        ],
+    )
+    def test_boolean_rejected(self, text, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            parse_graph(text)

@@ -5,6 +5,7 @@ from graphsteering import (
     Graph,
     NotTwoColorable,
     QuditRegister,
+    RegisterTooLarge,
     build_graph_state,
     edge_unitary,
     fourier_op,
@@ -14,6 +15,7 @@ from graphsteering import (
     x_op,
     z_op,
 )
+from graphsteering import graphstate
 from graphsteering.graphstate import PauliWord, edge_phase_mask
 from graphsteering.registers import states_equal_up_to_phase
 
@@ -98,6 +100,16 @@ class TestBuildGraphState:
         g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
         with pytest.raises(NotTwoColorable):
             build_graph_state(g, 2)
+
+    def test_oversized_register_refused(self):
+        with pytest.raises(RegisterTooLarge, match="64 qudits"):
+            build_graph_state(make_star(64), 2)
+
+    def test_size_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(graphstate, "MAX_STATE_BYTES", 16 * 2 ** 3)
+        assert build_graph_state(make_star(3), 2).register.total_dim == 8
+        with pytest.raises(RegisterTooLarge):
+            build_graph_state(make_star(4), 2)
 
     def test_edge_order_irrelevant(self):
         rng = np.random.default_rng(2024)

@@ -19,7 +19,6 @@ from graphsteering.steering import (
     derive_both_settings,
     noise_threshold,
     steering_statistic,
-    white_noise,
 )
 from graphsteering.graphstate import build_graph_state
 
@@ -137,7 +136,7 @@ class TestEstimateRates:
                 graph=g, d=2, part=part, noise_p=p, rounds=1_000_000, seed=17
             )
             est = estimate_rates(run_protocol(cfg), 2)
-            analytic = steering_statistic(white_noise(psi, p), settings, part).i_total
+            analytic = steering_statistic(psi, settings, part, p).i_total
             assert abs(est.i_hat_total - analytic) < 0.01
 
     def test_not_steerable_above_threshold(self):

@@ -1,19 +1,24 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from graphsteering import (
     Bipartition,
+    Graph,
     NoCorrelationForm,
     QuditRegister,
     build_graph_state,
     build_povm,
+    derive_both_settings,
     derive_setting,
     fourier_op,
     joint_distribution,
     make_chain,
     make_star,
+    outcome_table,
     random_state,
     schmidt_decompose,
     two_color,
@@ -310,3 +315,88 @@ class TestPinnedExactRegression:
         part = Bipartition.from_side_a(g, {1})
         with pytest.raises(ValueError):
             derive_setting(g, 2, two_color(g), part, 1, paper_exact=True)
+
+
+def make_grid(rows, cols):
+    """rows x cols square lattice, vertices numbered row by row from 1."""
+    label = lambda r, c: r * cols + c + 1
+    edges = {(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)}
+    edges |= {(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)}
+    return Graph(rows * cols, frozenset(edges))
+
+
+def oracle_gap(g, d, part, noise_levels):
+    """Largest |outcome_table - dense oracle| over every setting pair and noise level."""
+    settings = derive_both_settings(g, d, part)
+    psi = build_graph_state(g, d)
+    worst = 0.0
+    for p in noise_levels:
+        rho = white_noise(psi, p)
+        for sa in settings:
+            for sb in settings:
+                dense = joint_distribution(
+                    rho, build_povm(sa, "A", d), build_povm(sb, "B", d), part
+                )
+                fast = outcome_table(psi, sa, sb, part, p)
+                worst = max(worst, float(np.max(np.abs(fast - dense))))
+    return worst
+
+
+# The dense oracle holds d^2N entries, so d=5 stops at N=4 (N=6 would need 3.9 GB).
+ORACLE_CASES = [
+    (make_star(6), 2, {1}), (make_star(6), 2, {2, 3}), (make_chain(6), 2, {1, 2, 3}),
+    (make_chain(6), 2, {2, 5}), (make_grid(2, 3), 2, {1, 2}), (make_grid(2, 3), 2, {5}),
+    (make_star(5), 3, {1}), (make_star(5), 3, {4}), (make_chain(5), 3, {1, 2}),
+    (make_grid(2, 2), 3, {1, 4}), (make_star(3), 5, {1}), (make_chain(4), 5, {1, 2}),
+]
+
+
+class TestOutcomeTable:
+    @pytest.mark.parametrize("g, d, side_a", ORACLE_CASES)
+    def test_matches_dense_oracle(self, g, d, side_a):
+        part = Bipartition.from_side_a(g, side_a)
+        assert oracle_gap(g, d, part, (0.0, 0.13, 1.0)) < 1e-12
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_trees_match_dense_oracle(self, data):
+        d = data.draw(st.sampled_from([2, 3]), label="d")
+        n = data.draw(st.integers(2, 6 if d == 2 else 5), label="n")
+        parents = [data.draw(st.integers(1, k - 1), label=f"parent of {k}") for k in range(2, n + 1)]
+        g = Graph(n, frozenset(zip(parents, range(2, n + 1))))
+        side_a = data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="side_a"
+        )
+        p = data.draw(st.floats(0.0, 1.0), label="p")
+        assert oracle_gap(g, d, Bipartition.from_side_a(g, side_a), (p,)) < 1e-12
+
+    def test_ideal_tables_are_diagonal(self):
+        for d in (2, 3, 7):
+            g = make_chain(5)
+            part = Bipartition.from_side_a(g, {1, 2})
+            psi = build_graph_state(g, d)
+            for s in derive_both_settings(g, d, part):
+                np.testing.assert_allclose(
+                    outcome_table(psi, s, s, part), np.eye(d) / d, atol=1e-12
+                )
+
+    def test_bipartition_mismatch_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        other = Bipartition.from_side_a(g, {1, 2})
+        with pytest.raises(ValueError):
+            outcome_table(build_graph_state(g, 2), settings[0], settings[0], other)
+
+    def test_non_surjective_form_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        broken = dataclasses.replace(settings[0], fa_coeffs=(0,))
+        with pytest.raises(ValueError):
+            outcome_table(build_graph_state(g, 2), broken, settings[0], part)
+
+    def test_noise_out_of_range_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        for p in (-0.01, 1.01):
+            with pytest.raises(ValueError):
+                outcome_table(build_graph_state(g, 2), settings[0], settings[0], part, p)

@@ -71,8 +71,7 @@ class TestSteeringStatistic:
             g = make_star(3)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            rho = build_graph_state(g, d).density()
-            report = steering_statistic(rho, settings, part)
+            report = steering_statistic(build_graph_state(g, d), settings, part)
             assert abs(report.i_total - 2 * np.log2(d)) < 1e-9
             assert report.steerable
             for i_m in report.i_per_setting:
@@ -85,8 +84,8 @@ class TestSteeringStatistic:
             g = make_star(n)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            rho = white_noise(build_graph_state(g, d), 0.15)
-            values.append(steering_statistic(rho, settings, part).i_total)
+            psi = build_graph_state(g, d)
+            values.append(steering_statistic(psi, settings, part, 0.15).i_total)
         assert max(values) - min(values) < 1e-9
 
     def test_matches_closed_form_under_noise(self):
@@ -96,7 +95,7 @@ class TestSteeringStatistic:
             settings = derive_both_settings(g, d, part)
             psi = build_graph_state(g, d)
             for p in (0.05, 0.2, 0.6):
-                report = steering_statistic(white_noise(psi, p), settings, part)
+                report = steering_statistic(psi, settings, part, p)
                 expected = noisy_excess(p, d) + np.log2(d)
                 assert abs(report.i_total - expected) < 1e-9
 
@@ -104,10 +103,17 @@ class TestSteeringStatistic:
         g = make_star(3)
         part = Bipartition.from_side_a(g, {1})
         settings = derive_both_settings(g, 2, part)
-        rho = white_noise(build_graph_state(g, 2), 1.0)
-        report = steering_statistic(rho, settings, part)
+        report = steering_statistic(build_graph_state(g, 2), settings, part, 1.0)
         assert not report.steerable
         assert abs(report.i_total) < 1e-9
+
+    def test_out_of_range_noise(self):
+        g = make_star(3)
+        part = Bipartition.from_side_a(g, {1})
+        settings = derive_both_settings(g, 2, part)
+        for p in (-0.01, 1.01):
+            with pytest.raises(ValueError):
+                steering_statistic(build_graph_state(g, 2), settings, part, p)
 
 
 class TestNoiseThreshold:
@@ -144,8 +150,7 @@ class TestKeyRate:
             g = make_star(3)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            rho = build_graph_state(g, d).density()
-            rate = key_rate_lower(steering_statistic(rho, settings, part))
+            rate = key_rate_lower(steering_statistic(build_graph_state(g, d), settings, part))
             assert abs(rate.r_lower - np.log2(d)) < 1e-9
             assert not rate.clamped
 
@@ -153,8 +158,8 @@ class TestKeyRate:
         g = make_star(3)
         part = Bipartition.from_side_a(g, {1})
         settings = derive_both_settings(g, 2, part)
-        rho = white_noise(build_graph_state(g, 2), 0.5)
-        rate = key_rate_lower(steering_statistic(rho, settings, part))
+        psi = build_graph_state(g, 2)
+        rate = key_rate_lower(steering_statistic(psi, settings, part, 0.5))
         assert rate.r_lower == 0.0
         assert rate.clamped
 
