@@ -13,10 +13,7 @@ from .registers import (
     QuditRegister,
     PureState,
     DensityOperator,
-    Operator,
-    tensor_product,
     partial_trace,
-    apply,
     random_state,
 )
 from .graphs import (
@@ -34,7 +31,6 @@ from .graphstate import (
     fourier_op,
     z_op,
     x_op,
-    edge_unitary,
     RegisterTooLarge,
     build_graph_state,
     stabilizer_generators,
@@ -60,19 +56,16 @@ from .infotheory import (
 )
 from .steering import (
     SteeringReport,
-    KeyRateReport,
     white_noise,
     derive_both_settings,
     steering_statistic,
     noise_threshold,
-    key_rate_lower,
     disturbance_entropy,
     critical_disturbance,
     key_rate_scan,
 )
 from .cloner import (
     GammaDistribution,
-    ClonerOutput,
     bell_state,
     cloner_output,
     q_marginals,

@@ -43,21 +43,6 @@ class GammaDistribution:
         return self.gamma.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class ClonerOutput:
-    """Pure output state on the four d-level registers, ordered (A, B, C, C')."""
-
-    state: PureState
-
-    @property
-    def d(self) -> int:
-        return self.state.register.local_dim
-
-    def tensor(self) -> np.ndarray:
-        d = self.d
-        return self.state.amplitudes.reshape(d, d, d, d)
-
-
 def bell_state(j: int, k: int, d: int) -> PureState:
     """Generalized Bell state (1/sqrt d) sum_v omega^{vk} |v>|v+j mod d>."""
     if not (0 <= j < d and 0 <= k < d):
@@ -73,8 +58,11 @@ def _bell_tensor(j: int, k: int, d: int) -> np.ndarray:
     return bell_state(j, k, d).amplitudes.reshape(d, d)
 
 
-def cloner_output(g: GammaDistribution) -> ClonerOutput:
-    """Output state sum_{jk} sqrt(gamma_jk) |Bell_jk>_AB |Bell_{j,(d-k) mod d}>_CC'."""
+def cloner_output(g: GammaDistribution) -> PureState:
+    """Output state sum_{jk} sqrt(gamma_jk) |Bell_jk>_AB |Bell_{j,(d-k) mod d}>_CC'.
+
+    The four d-level registers are ordered (A, B, C, C').
+    """
     d = g.d
     tensor = np.zeros((d, d, d, d), dtype=complex)
     for j in range(d):
@@ -85,7 +73,7 @@ def cloner_output(g: GammaDistribution) -> ClonerOutput:
             ab = _bell_tensor(j, k, d)
             cc = _bell_tensor(j, (d - k) % d, d)
             tensor += w * np.einsum("ab,cd->abcd", ab, cc)
-    return ClonerOutput(PureState(QuditRegister(4, d), tensor.reshape(-1)))
+    return PureState(QuditRegister(4, d), tensor.reshape(-1))
 
 
 def q_marginals(g: GammaDistribution, m: int) -> np.ndarray:
@@ -105,33 +93,35 @@ def mutual_info_ab(g: GammaDistribution, m: int) -> float:
     return float(np.log2(g.d) - shannon_entropy(q))
 
 
-def measured_joint(output: ClonerOutput, m: int) -> np.ndarray:
-    """Joint outcome table of registers A and B measured in Schmidt basis m.
+def _in_bases(output: PureState, ma: int, mb: int) -> np.ndarray:
+    """Amplitude tensor (A, B, C, C') with A in Schmidt basis ma and B in basis mb.
 
-    m=1 is the computational basis on both sides; m=2 uses the Fourier basis
-    on A and its conjugate on B, so that matched outcomes coincide on the
-    no-attack state for any d.
+    Basis 1 is the computational basis on both sides; basis 2 is the Fourier
+    basis on A and its conjugate on B, so that matched outcomes coincide on
+    the no-attack state for any d.
     """
-    d = output.d
-    tensor = output.tensor()
-    if m == 2:
-        f = fourier_op(d).matrix
-        tensor = np.einsum("va,vbcd->abcd", f.conj(), tensor)
-        tensor = np.einsum("vb,avcd->abcd", f, tensor)
-    elif m != 1:
+    if ma not in (1, 2) or mb not in (1, 2):
         raise ValueError("m must be 1 or 2")
+    d = output.register.local_dim
+    tensor = output.amplitudes.reshape(d, d, d, d)
+    f = fourier_op(d)
+    if ma == 2:
+        tensor = np.einsum("va,vbcd->abcd", f.conj(), tensor)
+    if mb == 2:
+        tensor = np.einsum("vb,avcd->abcd", f, tensor)
+    return tensor
+
+
+def measured_joint(output: PureState, ma: int, mb: int) -> np.ndarray:
+    """Joint outcome table of register A measured in Schmidt basis ma and B in mb."""
+    tensor = _in_bases(output, ma, mb)
     return np.einsum("abcd,abcd->ab", tensor, tensor.conj()).real
 
 
 def conditional_ensemble(g: GammaDistribution, m: int) -> CqEnsemble:
     """Clone-pair states conditioned on A's Schmidt-basis-m outcome, with priors."""
     d = g.d
-    tensor = cloner_output(g).tensor()
-    if m == 2:
-        f = fourier_op(d).matrix
-        tensor = np.einsum("va,vbcd->abcd", f.conj(), tensor)
-    elif m != 1:
-        raise ValueError("m must be 1 or 2")
+    tensor = _in_bases(cloner_output(g), m, 1)
     priors = np.einsum("abcd,abcd->a", tensor, tensor.conj()).real
     reg = QuditRegister(2, d)
     conditionals = []

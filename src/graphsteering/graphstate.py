@@ -1,4 +1,4 @@
-"""Construction of two-colorable qudit graph states and their stabilizers.
+"""Construction of qudit graph states and the stabilizers of two-colorable ones.
 
 The state is built from the Fourier-basis initial product state by applying
 one controlled-phase unitary per edge.  Edge unitaries are diagonal, so they
@@ -9,12 +9,11 @@ matrices; this keeps 16-qubit registers feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .graphs import Graph, two_color
-from .registers import Operator, PureState, QuditRegister
+from .registers import PureState, QuditRegister
 
 # Largest amplitude vector build_graph_state allocates: 16 bytes per amplitude.
 MAX_STATE_BYTES = 2 ** 28
@@ -24,30 +23,30 @@ class RegisterTooLarge(ValueError):
     """The d^N amplitude vector of the requested register exceeds MAX_STATE_BYTES."""
 
 
-def fourier_op(d: int) -> Operator:
+def fourier_op(d: int) -> np.ndarray:
     """Quantum Fourier transform: F|v'> = sum_v omega^{v'v} |v> / sqrt(d)."""
     if d < 2:
         raise ValueError("d must be >= 2")
     omega = np.exp(2j * np.pi / d)
     v = np.arange(d)
-    return Operator(d, d, omega ** np.outer(v, v) / np.sqrt(d), unitary=True)
+    return omega ** np.outer(v, v) / np.sqrt(d)
 
 
-def z_op(d: int) -> Operator:
+def z_op(d: int) -> np.ndarray:
     """Clock operator Z = diag(omega^v)."""
     if d < 2:
         raise ValueError("d must be >= 2")
     omega = np.exp(2j * np.pi / d)
-    return Operator(d, d, np.diag(omega ** np.arange(d)), unitary=True)
+    return np.diag(omega ** np.arange(d))
 
 
-def x_op(d: int) -> Operator:
+def x_op(d: int) -> np.ndarray:
     """Shift operator X|v> = |v+1 mod d>, the dual of Z under the Fourier transform."""
     if d < 2:
         raise ValueError("d must be >= 2")
     mat = np.zeros((d, d), dtype=complex)
     mat[(np.arange(d) + 1) % d, np.arange(d)] = 1
-    return Operator(d, d, mat, unitary=True)
+    return mat
 
 
 def edge_phase_mask(i: int, j: int, register: QuditRegister) -> np.ndarray:
@@ -60,15 +59,8 @@ def edge_phase_mask(i: int, j: int, register: QuditRegister) -> np.ndarray:
     return omega ** (vi * vj)
 
 
-def edge_unitary(i: int, j: int, register: QuditRegister) -> Operator:
-    """Controlled-phase unitary sum_v |v><v|_i (Z_j)^v embedded in the register."""
-    dim = register.total_dim
-    return Operator(dim, dim, np.diag(edge_phase_mask(i, j, register)), unitary=True)
-
-
 def build_graph_state(g: Graph, d: int) -> PureState:
-    """Two-colorable graph state: edge unitaries applied to the Fourier product state."""
-    two_color(g)  # raises NotTwoColorable on odd cycles
+    """Graph state: edge unitaries applied to the Fourier product state."""
     size = 16 * d ** g.n_vertices
     if size > MAX_STATE_BYTES:
         raise RegisterTooLarge(
@@ -115,7 +107,7 @@ class PauliWord:
 
     def matrix(self, d: int) -> np.ndarray:
         """Dense matrix realization (kron of per-qudit X^x Z^z factors)."""
-        xm, zm = x_op(d).matrix, z_op(d).matrix
+        xm, zm = x_op(d), z_op(d)
         out = np.ones((1, 1), dtype=complex)
         for x, z in zip(self.x_exponents, self.z_exponents):
             factor = np.linalg.matrix_power(xm, x) @ np.linalg.matrix_power(zm, z)

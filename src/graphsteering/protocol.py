@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cloner import bell_state, phase_covariant_gamma
-from .graphs import Bipartition, Graph
-from .graphstate import build_graph_state, fourier_op
+from .cloner import cloner_output, measured_joint, phase_covariant_gamma
+from .graphs import Bipartition, Graph, two_color
+from .graphstate import build_graph_state
 from .steering import derive_both_settings
 from .schmidt import mix_white_noise, outcome_table
 
@@ -90,27 +90,6 @@ class RateEstimate:
     steerable_hat: bool
 
 
-def _schmidt_space_table(d: int, D: float, ma: int, mb: int) -> np.ndarray:
-    """Cloned joint table in the d-level Schmidt space for one basis pair."""
-    gamma = phase_covariant_gamma(D, d).gamma
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            if gamma[j, k] == 0:
-                continue
-            amps = bell_state(j, k, d).amplitudes
-            rho += gamma[j, k] * np.outer(amps, amps.conj())
-    f = fourier_op(d).matrix
-    basis_a = np.eye(d, dtype=complex) if ma == 1 else f
-    basis_b = np.eye(d, dtype=complex) if mb == 1 else f.conj()
-    table = np.zeros((d, d))
-    for a in range(d):
-        for b in range(d):
-            vec = np.kron(basis_a[:, a], basis_b[:, b])
-            table[a, b] = np.vdot(vec, rho @ vec).real
-    return np.clip(table, 0.0, None)
-
-
 def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
     tables = {}
@@ -123,10 +102,13 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
                     psi, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
                 )
     else:
+        two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs
+        output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
         for ma in (1, 2):
             for mb in (1, 2):
-                clean = _schmidt_space_table(cfg.d, cfg.cloner_disturbance, ma, mb)
-                tables[(ma, mb)] = mix_white_noise(clean, cfg.noise_p)
+                tables[(ma, mb)] = mix_white_noise(
+                    measured_joint(output, ma, mb), cfg.noise_p
+                )
     return tables
 
 

@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 ATOL_ALGEBRA = 1e-12
-ATOL_UNITARY = 1e-10
 ATOL_EIG = 1e-10
 
 
@@ -33,27 +32,6 @@ class QuditRegister:
     @property
     def total_dim(self) -> int:
         return self.local_dim ** self.n_qudits
-
-    def index_of(self, digits: Sequence[int]) -> int:
-        """Amplitude index of the basis state with the given digits (qudit 1 first)."""
-        if len(digits) != self.n_qudits:
-            raise ValueError("digit count does not match register size")
-        idx = 0
-        for v in digits:
-            if not 0 <= v < self.local_dim:
-                raise ValueError(f"digit {v} out of range for d={self.local_dim}")
-            idx = idx * self.local_dim + v
-        return idx
-
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        """Digits (v_1, ..., v_N) of an amplitude index, qudit 1 most significant."""
-        if not 0 <= index < self.total_dim:
-            raise ValueError(f"index {index} out of range")
-        digits = []
-        for _ in range(self.n_qudits):
-            digits.append(index % self.local_dim)
-            index //= self.local_dim
-        return tuple(reversed(digits))
 
     def digit_table(self, qudit: int) -> np.ndarray:
         """Vector of length total_dim holding digit v_qudit of every basis index."""
@@ -87,9 +65,6 @@ class PureState:
     def density(self) -> DensityOperator:
         return DensityOperator(self.register, np.outer(self.amplitudes, self.amplitudes.conj()))
 
-    def fidelity(self, other: PureState) -> float:
-        return abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2
-
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
@@ -112,49 +87,6 @@ class DensityOperator:
             raise ValueError("matrix has an eigenvalue below -1e-10")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-
-
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """A complex matrix acting on state vectors, optionally flagged as unitary."""
-
-    in_dim: int
-    out_dim: int
-    matrix: np.ndarray
-    unitary: bool = False
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.out_dim, self.in_dim):
-            raise ValueError(f"matrix has shape {mat.shape}, expected ({self.out_dim}, {self.in_dim})")
-        if self.unitary:
-            if self.in_dim != self.out_dim:
-                raise ValueError("unitary operator must be square")
-            err = np.max(np.abs(mat.conj().T @ mat - np.eye(self.in_dim)))
-            if err > ATOL_UNITARY:
-                raise ValueError(f"operator flagged unitary but |U^dag U - I| = {err}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def dagger(self) -> Operator:
-        return Operator(self.out_dim, self.in_dim, self.matrix.conj().T, unitary=self.unitary)
-
-
-def tensor_product(a, b):
-    """Kronecker product of two states or two operators (qudit-1-most-significant)."""
-    if isinstance(a, PureState) and isinstance(b, PureState):
-        if a.register.local_dim != b.register.local_dim:
-            raise ValueError("tensor_product requires matching local dimensions")
-        reg = QuditRegister(a.register.n_qudits + b.register.n_qudits, a.register.local_dim)
-        return PureState(reg, np.kron(a.amplitudes, b.amplitudes))
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(
-            a.in_dim * b.in_dim,
-            a.out_dim * b.out_dim,
-            np.kron(a.matrix, b.matrix),
-            unitary=a.unitary and b.unitary,
-        )
-    raise TypeError("tensor_product expects two PureStates or two Operators")
 
 
 def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
@@ -183,15 +115,6 @@ def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
     reduced = np.einsum(tensor, subscripts, out)
     dim_keep = d ** len(keep)
     return DensityOperator(QuditRegister(len(keep), d), reduced.reshape(dim_keep, dim_keep))
-
-
-def apply(u: Operator, psi: PureState) -> PureState:
-    """Apply a unitary-flagged operator to a state."""
-    if not u.unitary:
-        raise ValueError("apply requires a unitary-flagged operator")
-    if u.in_dim != psi.register.total_dim:
-        raise ValueError(f"operator dimension {u.in_dim} does not match state dimension {psi.register.total_dim}")
-    return PureState(psi.register, u.matrix @ psi.amplitudes)
 
 
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:

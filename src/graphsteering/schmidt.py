@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,10 +58,9 @@ class MeasurementSetting:
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """d Hermitian PSD effects summing to the identity, labeled 0..d-1."""
+    """d Hermitian PSD effects summing to the identity; effect t is outcome t."""
 
     effects: tuple
-    labels: tuple
 
     def __post_init__(self):
         total = sum(self.effects)
@@ -98,7 +97,6 @@ def derive_setting(
     coloring: TwoColoring,
     part: Bipartition,
     m: int,
-    paper_exact: bool = False,
 ) -> MeasurementSetting:
     """Derive one of the two complementary settings for a bipartition.
 
@@ -116,9 +114,6 @@ def derive_setting(
     local_bases.update({v: COMPUTATIONAL for v in comp_class})
     a_vertices = tuple(sorted(part.side_a))
     b_vertices = tuple(sorted(part.side_b))
-
-    if paper_exact:
-        return _paper_exact_setting(g, d, part, m, local_bases, a_vertices, b_vertices)
 
     generators = sorted(fourier_class)
     if not generators:
@@ -152,20 +147,9 @@ def derive_setting(
     return MeasurementSetting(m, local_bases, a_vertices, b_vertices, fa, fb)
 
 
-def _paper_exact_setting(g, d, part, m, local_bases, a_vertices, b_vertices):
-    """Pinned settings for the 3-qubit star worked example (regression anchor)."""
-    from .graphs import make_star
-
-    if d != 2 or g != make_star(3) or part.side_a != frozenset({1}):
-        raise ValueError("paper_exact settings are pinned to star(3), d=2, A={1}")
-    if m == 1:
-        return MeasurementSetting(1, local_bases, a_vertices, b_vertices, (1,), (1, 0))
-    return MeasurementSetting(2, local_bases, a_vertices, b_vertices, (1,), (1, 1))
-
-
 def _product_basis(setting: MeasurementSetting, vertices, d: int) -> np.ndarray:
     """Unitary whose columns are the local product-basis states, big-endian order."""
-    f_mat = fourier_op(d).matrix
+    f_mat = fourier_op(d)
     out = np.ones((1, 1), dtype=complex)
     for v in vertices:
         factor = f_mat if setting.local_bases[v] == FOURIER else np.eye(d, dtype=complex)
@@ -191,7 +175,7 @@ def build_povm(setting: MeasurementSetting, side: str, d: int) -> Povm:
     for t in range(d):
         cols = basis[:, values == t]
         effects.append(cols @ cols.conj().T)
-    return Povm(effects=tuple(effects), labels=tuple(range(d)))
+    return Povm(effects=tuple(effects))
 
 
 def joint_distribution(

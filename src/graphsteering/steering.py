@@ -25,14 +25,6 @@ class SteeringReport:
     margin: float
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
-    r_lower: float
-    i_total: float
-    d: int
-    clamped: bool
-
-
 def white_noise(psi: PureState, p: float) -> DensityOperator:
     """Mix a pure state with the maximally mixed operator at intensity p.
 
@@ -109,16 +101,6 @@ def noise_threshold(g: Graph, d: int, part: Bipartition, tol: float = 1e-8) -> f
     return 0.5 * (lo + hi)
 
 
-def key_rate_lower(report: SteeringReport) -> KeyRateReport:
-    """Devetak-Winter style lower bound R_L = max(0, I_total - log2 d)."""
-    d = int(round(2 ** report.threshold))
-    raw = report.i_total - report.threshold
-    clamped = raw < 0
-    return KeyRateReport(
-        r_lower=max(0.0, raw), i_total=report.i_total, d=d, clamped=clamped
-    )
-
-
 def disturbance_entropy(D: float, d: int) -> float:
     """H(D) = -(1-D) log2(1-D) - D log2(D / (d-1))."""
     if not 0.0 <= D <= 1.0:
@@ -151,7 +133,10 @@ def critical_disturbance(d: int, tol: float = 1e-9) -> float:
 
 
 def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid):
-    """Rows (p, i_total, r_lower) over a noise grid, sharing one derived setting."""
+    """Rows (p, i_total, r_lower) over a noise grid, sharing one derived setting.
+
+    r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).
+    """
     p_grid = list(p_grid)
     if any(not 0.0 <= p <= 1.0 for p in p_grid):
         raise ValueError("noise grid must lie in [0, 1]")

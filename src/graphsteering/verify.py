@@ -37,7 +37,7 @@ from .steering import derive_both_settings
 def check_operator_unitarity():
     for d in (2, 3, 5):
         for op in (fourier_op(d), z_op(d), x_op(d)):
-            err = np.max(np.abs(op.matrix.conj().T @ op.matrix - np.eye(d)))
+            err = np.max(np.abs(op.conj().T @ op - np.eye(d)))
             assert err < 1e-10, f"d={d}: |U^dag U - I| = {err}"
 
 

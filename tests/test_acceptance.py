@@ -154,7 +154,7 @@ def test_criterion_4_no_sharing():
                 violations += 1
             out = cloner_output(g)
             for m in (1, 2):
-                gap = abs(mutual_info_ab(g, m) - mutual_information(measured_joint(out, m)))
+                gap = abs(mutual_info_ab(g, m) - mutual_information(measured_joint(out, m, m)))
                 worst_oracle = max(worst_oracle, gap)
     elapsed = time.monotonic() - start
     ok = violations == 0 and worst_oracle < 1e-9 and elapsed < 60.0
@@ -219,7 +219,7 @@ def test_criterion_7_pinned_regression():
     part = Bipartition.from_side_a(g, {1})
     coloring = two_color(g)
     settings = [
-        derive_setting(g, 2, coloring, part, m, paper_exact=True) for m in (1, 2)
+        derive_setting(g, 2, coloring, part, m) for m in (1, 2)
     ]
     plus = np.array([1, 1]) / np.sqrt(2)
     minus = np.array([1, -1]) / np.sqrt(2)
@@ -251,7 +251,7 @@ def test_criterion_8_phase_covariant_consistency():
             out = cloner_output(g)
             closed = np.log2(d) - 2 * disturbance_entropy(float(D), d)
             for m in (1, 2):
-                i_ab = mutual_information(measured_joint(out, m))
+                i_ab = mutual_information(measured_joint(out, m, m))
                 chi = holevo(conditional_ensemble(g, m))
                 worst = max(worst, abs((i_ab - chi) - closed))
     ok = worst < 1e-9

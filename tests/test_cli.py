@@ -256,6 +256,14 @@ class TestQss:
         assert res.exit_code == 2
         assert "NotTwoColorable" in res.stderr
 
+    def test_odd_cycle_with_disturbance_exit_2(self, runner, triangle_file):
+        res = runner.invoke(
+            main,
+            ["qss", "--graph-file", triangle_file, "--disturbance", "0.1", "--rounds", "10"],
+        )
+        assert res.exit_code == 2
+        assert "NotTwoColorable" in res.stderr
+
     def test_graph_file_with_d3(self, runner, tmp_path):
         path = tmp_path / "chain4d3.json"
         path.write_text('{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}')

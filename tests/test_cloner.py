@@ -57,7 +57,7 @@ class TestClonerOutput:
         rng = np.random.default_rng(3)
         for d in (2, 3):
             out = cloner_output(dirichlet_gamma(d, rng))
-            amps = out.state.amplitudes
+            amps = out.amplitudes
             assert abs(np.vdot(amps, amps).real - 1.0) < 1e-10
 
     def test_no_attack_is_product_of_bells(self):
@@ -68,14 +68,14 @@ class TestClonerOutput:
                 bell_state(0, 0, d).amplitudes.reshape(d, d),
                 bell_state(0, 0, d).amplitudes.reshape(d, d),
             ).reshape(-1)
-            np.testing.assert_allclose(out.state.amplitudes, expected, atol=1e-12)
+            np.testing.assert_allclose(out.amplitudes, expected, atol=1e-12)
 
     def test_ab_reduction_is_bell_mixture(self):
         # tracing out the clone pair leaves sum_jk gamma_jk |Bell_jk><Bell_jk|
         rng = np.random.default_rng(11)
         for d in (2, 3):
             g = dirichlet_gamma(d, rng)
-            rho_ab = partial_trace(cloner_output(g).state.density(), {1, 2})
+            rho_ab = partial_trace(cloner_output(g).density(), {1, 2})
             expected = sum(
                 g.gamma[j, k]
                 * np.outer(
@@ -116,7 +116,7 @@ class TestFormulaVsMeasurementOracle:
                 g = dirichlet_gamma(d, rng)
                 out = cloner_output(g)
                 for m in (1, 2):
-                    table = measured_joint(out, m)
+                    table = measured_joint(out, m, m)
                     formula = mutual_info_ab(g, m)
                     measured = mutual_information(table)
                     assert abs(formula - measured) < 1e-9
@@ -128,12 +128,29 @@ class TestFormulaVsMeasurementOracle:
                             diff[(b - a) % d] += table[a, b]
                     np.testing.assert_allclose(diff, q, atol=1e-9)
 
+    def test_closed_form_all_basis_pairs(self):
+        # matched bases m: P(a, b) = q_m[(b - a) mod d] / d; crossed bases: uniform
+        rng = np.random.default_rng(202)
+        for d in (2, 3, 5):
+            a, b = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+            for _ in range(20):
+                g = dirichlet_gamma(d, rng)
+                out = cloner_output(g)
+                for ma in (1, 2):
+                    for mb in (1, 2):
+                        if ma == mb:
+                            expected = q_marginals(g, ma)[(b - a) % d] / d
+                        else:
+                            expected = np.full((d, d), 1 / d ** 2)
+                        table = measured_joint(out, ma, mb)
+                        np.testing.assert_allclose(table, expected, rtol=0, atol=1e-12)
+
     def test_uniform_a_marginal(self):
         rng = np.random.default_rng(7)
         g = dirichlet_gamma(3, rng)
         out = cloner_output(g)
         for m in (1, 2):
-            table = measured_joint(out, m)
+            table = measured_joint(out, m, m)
             np.testing.assert_allclose(table.sum(axis=1), np.full(3, 1 / 3), atol=1e-10)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from graphsteering import (
     QuditRegister,
     RegisterTooLarge,
     build_graph_state,
-    edge_unitary,
     fourier_op,
     make_chain,
     make_star,
@@ -22,15 +23,15 @@ from graphsteering.registers import states_equal_up_to_phase
 
 class TestElementaryOperators:
     def test_fourier_on_zero(self):
-        out = fourier_op(2).matrix[:, 0]
+        out = fourier_op(2)[:, 0]
         np.testing.assert_allclose(out, np.array([1, 1]) / np.sqrt(2), atol=1e-12)
 
     def test_clock_d2(self):
-        np.testing.assert_allclose(z_op(2).matrix, np.diag([1.0, -1.0]), atol=1e-12)
+        np.testing.assert_allclose(z_op(2), np.diag([1.0, -1.0]), atol=1e-12)
 
     def test_shift_cycles(self):
         for d in (2, 3, 5):
-            x = x_op(d).matrix
+            x = x_op(d)
             np.testing.assert_allclose(
                 np.linalg.matrix_power(x, d), np.eye(d), atol=1e-12
             )
@@ -39,9 +40,9 @@ class TestElementaryOperators:
         # F Z F^dag equals the inverse shift: fixes the sign convention used
         # when translating Fourier-basis outcomes into correlation forms.
         for d in (2, 3, 5):
-            f = fourier_op(d).matrix
-            conj = f @ z_op(d).matrix @ f.conj().T
-            np.testing.assert_allclose(conj, x_op(d).matrix.conj().T, atol=1e-10)
+            f = fourier_op(d)
+            conj = f @ z_op(d) @ f.conj().T
+            np.testing.assert_allclose(conj, x_op(d).conj().T, atol=1e-10)
 
     def test_small_dimension_rejected(self):
         for factory in (fourier_op, z_op, x_op):
@@ -50,26 +51,28 @@ class TestElementaryOperators:
 
 
 class TestEdgeUnitary:
+    """The controlled-phase edge unitary is diag(edge_phase_mask)."""
+
     def test_d2_controlled_phase(self):
         reg = QuditRegister(2, 2)
         np.testing.assert_allclose(
-            edge_unitary(1, 2, reg).matrix, np.diag([1, 1, 1, -1]), atol=1e-12
+            np.diag(edge_phase_mask(1, 2, reg)), np.diag([1, 1, 1, -1]), atol=1e-12
         )
 
     def test_edges_commute(self):
         reg = QuditRegister(3, 3)
-        u12 = edge_unitary(1, 2, reg).matrix
-        u13 = edge_unitary(1, 3, reg).matrix
+        u12 = np.diag(edge_phase_mask(1, 2, reg))
+        u13 = np.diag(edge_phase_mask(1, 3, reg))
         np.testing.assert_allclose(u12 @ u13, u13 @ u12, atol=1e-12)
 
     def test_d2_involution(self):
         reg = QuditRegister(2, 2)
-        u = edge_unitary(1, 2, reg).matrix
+        u = np.diag(edge_phase_mask(1, 2, reg))
         np.testing.assert_allclose(u @ u, np.eye(4), atol=1e-12)
 
     def test_self_edge_rejected(self):
         with pytest.raises(ValueError):
-            edge_unitary(2, 2, QuditRegister(3, 2))
+            edge_phase_mask(2, 2, QuditRegister(3, 2))
 
 
 class TestBuildGraphState:
@@ -96,10 +99,15 @@ class TestBuildGraphState:
             psi = build_graph_state(g, d)
             assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) < 1e-12
 
-    def test_odd_cycle_rejected(self):
+    def test_odd_cycle_built(self):
+        # a graph state exists on any graph; only the settings need two colors
         g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+        psi = build_graph_state(g, 2)
+        v = np.array(list(itertools.product((0, 1), repeat=3)))
+        signs = (-1.0) ** (v[:, 0] * v[:, 1] + v[:, 1] * v[:, 2] + v[:, 2] * v[:, 0])
+        np.testing.assert_allclose(psi.amplitudes, signs / np.sqrt(8), atol=1e-12)
         with pytest.raises(NotTwoColorable):
-            build_graph_state(g, 2)
+            stabilizer_generators(g, 2)
 
     def test_oversized_register_refused(self):
         with pytest.raises(RegisterTooLarge, match="64 qudits"):

@@ -20,7 +20,7 @@ from graphsteering.steering import disturbance_entropy
 def projective_povm(basis):
     dim = basis.shape[0]
     effects = [np.outer(basis[:, t], basis[:, t].conj()) for t in range(dim)]
-    return Povm(tuple(effects), tuple(range(dim)))
+    return Povm(tuple(effects))
 
 
 class TestShannonEntropy:
@@ -115,7 +115,7 @@ class TestVonNeumannEntropy:
         p = raw / raw.sum()
         from graphsteering import fourier_op
 
-        f = fourier_op(3).matrix
+        f = fourier_op(3)
         rho_a = DensityOperator(reg, np.diag(p))
         rho_b = DensityOperator(reg, f @ np.diag(p) @ f.conj().T)
         assert abs(von_neumann_entropy(rho_a) - von_neumann_entropy(rho_b)) < 1e-10
@@ -175,7 +175,7 @@ class TestUncertaintyFloor:
         rng = np.random.default_rng(55)
         for d in (2, 3):
             comp = projective_povm(np.eye(d, dtype=complex))
-            four = projective_povm(fourier_op(d).matrix)
+            four = projective_povm(fourier_op(d))
             floor = uncertainty_floor(comp, four, 200, rng)
             assert abs(floor - np.log2(d)) < 1e-9
 
@@ -194,7 +194,7 @@ class TestUncertaintyFloor:
         from graphsteering import fourier_op
 
         comp = projective_povm(np.eye(2, dtype=complex))
-        four = projective_povm(fourier_op(2).matrix)
+        four = projective_povm(fourier_op(2))
         lo = uncertainty_floor(comp, four, 10, np.random.default_rng(3))
         hi = uncertainty_floor(comp, four, 500, np.random.default_rng(3))
         assert hi <= lo + 1e-12

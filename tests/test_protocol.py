@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from graphsteering import (
     Bipartition,
@@ -95,6 +96,29 @@ class TestRunProtocol:
         np.testing.assert_array_equal(t1.outcome_a, t2.outcome_a)
         np.testing.assert_array_equal(t1.outcome_b, t2.outcome_b)
         np.testing.assert_array_equal(t1.setting_a, t2.setting_a)
+
+    @hyp_settings(max_examples=40, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        rounds=st.integers(1, 500),
+        noise_p=st.floats(0.0, 1.0),
+        disturbance=st.one_of(st.none(), st.floats(0.0, 0.5)),
+    )
+    def test_deterministic_property(self, d, seed, rounds, noise_p, disturbance):
+        g = make_star(3)
+        cfg = ProtocolConfig(
+            graph=g,
+            d=d,
+            part=Bipartition.from_side_a(g, {1}),
+            noise_p=noise_p,
+            cloner_disturbance=disturbance,
+            rounds=rounds,
+            seed=seed,
+        )
+        t1, t2 = run_protocol(cfg), run_protocol(cfg)
+        for field in ("setting_a", "setting_b", "outcome_a", "outcome_b", "sifted"):
+            np.testing.assert_array_equal(getattr(t1, field), getattr(t2, field))
 
     def test_seed_changes_outcomes(self):
         t1 = run_protocol(star3_config(rounds=5000, seed=1))

@@ -8,7 +8,9 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 from graphsteering import (
     Bipartition,
     Graph,
+    MeasurementSetting,
     NoCorrelationForm,
+    PureState,
     QuditRegister,
     build_graph_state,
     build_povm,
@@ -28,12 +30,10 @@ from graphsteering.registers import permute_qudits, states_equal_up_to_phase
 from graphsteering.schmidt import COMPUTATIONAL, FOURIER, side_order
 
 
-def settings_for(g, d, side_a, paper_exact=False):
+def settings_for(g, d, side_a):
     part = Bipartition.from_side_a(g, side_a)
     coloring = two_color(g)
-    return part, [
-        derive_setting(g, d, coloring, part, m, paper_exact=paper_exact) for m in (1, 2)
-    ]
+    return part, [derive_setting(g, d, coloring, part, m) for m in (1, 2)]
 
 
 def conditional_b_vectors(g, d, part, setting):
@@ -43,18 +43,18 @@ def conditional_b_vectors(g, d, part, setting):
     dim_b = d ** len(part.side_b)
     mat = psi.amplitudes.reshape(dim_a, dim_b)
     basis_a = np.ones((1, 1), dtype=complex)
-    f = fourier_op(d).matrix
+    f = fourier_op(d)
     for v in setting.a_vertices:
         factor = f if setting.local_bases[v] == FOURIER else np.eye(d, dtype=complex)
         basis_a = np.kron(basis_a, factor)
     conditioned = basis_a.conj().T @ mat  # rows: A-side product-basis outcomes
     vectors = []
-    reg = QuditRegister(len(setting.a_vertices), d)
+    digits = (d,) * len(setting.a_vertices)
     for row, vec in enumerate(conditioned):
         norm = np.linalg.norm(vec)
         if norm > 1e-12:
             value = sum(
-                c * o for c, o in zip(setting.fa_coeffs, reg.digits_of(row))
+                c * o for c, o in zip(setting.fa_coeffs, np.unravel_index(row, digits))
             ) % d
             vectors.append((value, vec / norm))
     return vectors
@@ -104,11 +104,9 @@ class TestSchmidtDecompose:
 
     def test_product_state_rank_one(self):
         rng = np.random.default_rng(8)
-        from graphsteering import tensor_product
-
-        psi = tensor_product(
-            random_state(QuditRegister(1, 2), rng), random_state(QuditRegister(2, 2), rng)
-        )
+        a = random_state(QuditRegister(1, 2), rng)
+        b = random_state(QuditRegister(2, 2), rng)
+        psi = PureState(QuditRegister(3, 2), np.kron(a.amplitudes, b.amplitudes))
         form = schmidt_decompose(psi, Bipartition(frozenset({1}), frozenset({2, 3})))
         assert form.rank == 1
         assert abs(form.coefficients[0] - 1.0) < 1e-10
@@ -134,9 +132,7 @@ class TestSchmidtDecompose:
             psi = random_state(QuditRegister(n, d), rng)
             size = int(rng.integers(1, n))
             side_a = frozenset(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-            part = Bipartition.from_side_a_set = Bipartition(
-                side_a, frozenset(range(1, n + 1)) - side_a
-            )
+            part = Bipartition(side_a, frozenset(range(1, n + 1)) - side_a)
             form = schmidt_decompose(psi, part)
             reordered = permute_qudits(psi, side_order(part))
             assert states_equal_up_to_phase(reordered.amplitudes, form.reconstruct(), 1e-9)
@@ -279,7 +275,7 @@ class TestJointDistribution:
 
 class TestPinnedExactRegression:
     def test_pinned_reference_operators(self):
-        part, settings = settings_for(make_star(3), 2, {1}, paper_exact=True)
+        part, settings = settings_for(make_star(3), 2, {1})
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
         h = np.stack([plus, minus]).T
@@ -305,16 +301,18 @@ class TestPinnedExactRegression:
         np.testing.assert_allclose(pb2.effects[1], odd, atol=1e-12)
 
     def test_canonical_search_matches_paper_exact(self):
+        # the worked example's forms: B reads qubit 2 alone, then the parity of 2 and 3
         _, canonical = settings_for(make_star(3), 2, {1})
-        _, pinned = settings_for(make_star(3), 2, {1}, paper_exact=True)
+        bases = (
+            {1: COMPUTATIONAL, 2: FOURIER, 3: FOURIER},
+            {1: FOURIER, 2: COMPUTATIONAL, 3: COMPUTATIONAL},
+        )
+        pinned = [
+            MeasurementSetting(m, bases[m - 1], (1,), (2, 3), (1,), fb)
+            for m, fb in ((1, (1, 0)), (2, (1, 1)))
+        ]
         for a, b in zip(canonical, pinned):
             assert a == b
-
-    def test_paper_exact_rejects_other_graphs(self):
-        g = make_chain(4)
-        part = Bipartition.from_side_a(g, {1})
-        with pytest.raises(ValueError):
-            derive_setting(g, 2, two_color(g), part, 1, paper_exact=True)
 
 
 def make_grid(rows, cols):

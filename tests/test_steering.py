@@ -3,11 +3,12 @@ import pytest
 
 from graphsteering import (
     Bipartition,
+    Graph,
+    NotTwoColorable,
     build_graph_state,
     critical_disturbance,
     derive_both_settings,
     disturbance_entropy,
-    key_rate_lower,
     key_rate_scan,
     make_chain,
     make_star,
@@ -149,19 +150,16 @@ class TestKeyRate:
         for d in (2, 3):
             g = make_star(3)
             part = Bipartition.from_side_a(g, {1})
-            settings = derive_both_settings(g, d, part)
-            rate = key_rate_lower(steering_statistic(build_graph_state(g, d), settings, part))
-            assert abs(rate.r_lower - np.log2(d)) < 1e-9
-            assert not rate.clamped
+            [(_, i_total, r_lower)] = key_rate_scan(g, d, part, [0.0])
+            assert abs(r_lower - np.log2(d)) < 1e-9
+            assert i_total >= np.log2(d)
 
     def test_clamped_at_high_noise(self):
         g = make_star(3)
         part = Bipartition.from_side_a(g, {1})
-        settings = derive_both_settings(g, 2, part)
-        psi = build_graph_state(g, 2)
-        rate = key_rate_lower(steering_statistic(psi, settings, part, 0.5))
-        assert rate.r_lower == 0.0
-        assert rate.clamped
+        [(_, i_total, r_lower)] = key_rate_scan(g, 2, part, [0.5])
+        assert r_lower == 0.0
+        assert i_total < 1.0
 
     def test_scan_matches_closed_form(self):
         for d in (2, 3):
@@ -178,6 +176,13 @@ class TestKeyRate:
         part = Bipartition.from_side_a(g, {1})
         with pytest.raises(ValueError):
             key_rate_scan(g, 2, part, [0.0, 1.2])
+
+
+class TestDeriveBothSettings:
+    def test_odd_cycle_rejected(self):
+        g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+        with pytest.raises(NotTwoColorable):
+            derive_both_settings(g, 2, Bipartition.from_side_a(g, {1}))
 
 
 class TestDisturbanceEntropy:
