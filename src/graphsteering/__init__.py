@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .registers import (
     QuditRegister,
+    RegisterTooLarge,
     PureState,
     DensityOperator,
     partial_trace,
@@ -31,7 +32,6 @@ from .graphstate import (
     fourier_op,
     z_op,
     x_op,
-    RegisterTooLarge,
     build_graph_state,
     stabilizer_generators,
 )

@@ -21,17 +21,17 @@ import numpy as np
 from . import __version__
 from .cloner import dirichlet_gamma, no_sharing_sum
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
-from .graphstate import RegisterTooLarge, build_graph_state
-from .protocol import ProtocolConfig, estimate_rates, run_protocol
+from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_protocol
+from .registers import QuditRegister, RegisterTooLarge
 from .schmidt import NoCorrelationForm
 from .steering import (
     critical_disturbance,
     disturbance_entropy,
     key_rate_scan,
     noise_threshold,
+    state_and_settings,
     steering_statistic,
 )
-from .steering import derive_both_settings
 from . import verify as verify_mod
 
 EXIT_INVARIANT = 1
@@ -49,12 +49,13 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
     }
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, write) -> None:
+    """Call ``write(handle)`` on a temp file beside ``path``, then rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            write(handle)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,7 +65,7 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(out, text)
+        _atomic_write(out, lambda handle: handle.write(text))
     else:
         click.echo(text, nl=False)
 
@@ -84,21 +85,29 @@ def _csv_cell(x) -> str:
     return str(x)
 
 
-def _refuse(exc: Exception, code: int = EXIT_VALIDATION):
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+def _refuse(reason: str, code: int = EXIT_VALIDATION):
+    click.echo(f"error: {reason}", err=True)
     raise SystemExit(code)
+
+
+class _RefusingGroup(click.Group):
+    """Turns the library's refusals, raised by any command, into a message and exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (NotTwoColorable, RegisterTooLarge, InsufficientData, OSError) as exc:
+            _refuse(f"{type(exc).__name__}: {exc}")
+        except NoCorrelationForm as exc:
+            _refuse(f"{type(exc).__name__}: {exc}", EXIT_DERIVATION)
 
 
 def _load_graph(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return parse_graph(handle.read())
-    except OSError as exc:
-        click.echo(f"error: cannot read graph file: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        _refuse(str(exc))
 
 
 def _parse_partition(g, text: str | None) -> Bipartition:
@@ -108,13 +117,11 @@ def _parse_partition(g, text: str | None) -> Bipartition:
         try:
             side_a = {int(tok) for tok in text.split(",") if tok.strip()}
         except ValueError:
-            click.echo(f"error: bad partition list {text!r}", err=True)
-            raise SystemExit(EXIT_VALIDATION)
+            _refuse(f"bad partition list {text!r}")
     try:
         return Bipartition.from_side_a(g, side_a)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        _refuse(str(exc))
 
 
 def _parse_d_list(text: str) -> list:
@@ -123,12 +130,11 @@ def _parse_d_list(text: str) -> list:
     except ValueError:
         values = []
     if not values or any(d < 2 for d in values):
-        click.echo(f"error: bad dimension list {text!r}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        _refuse(f"bad dimension list {text!r}")
     return values
 
 
-@click.group()
+@click.group(cls=_RefusingGroup)
 @click.version_option(__version__)
 def main():
     """Steering certification and key-rate analysis for qudit graph states."""
@@ -143,17 +149,12 @@ def main():
 def certify(graph_file, partition, p, fmt, out):
     """Certify steering of a (noisy) graph state from a graph file."""
     g, d = _load_graph(graph_file)
+    QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
-        click.echo("error: --p must be in [0, 1]", err=True)
-        raise SystemExit(EXIT_VALIDATION)
-    try:
-        psi = build_graph_state(g, d)  # size guard before the d^|class| setting search
-        report = steering_statistic(psi, derive_both_settings(g, d, part), part, p)
-    except (NotTwoColorable, RegisterTooLarge) as exc:
-        _refuse(exc)
-    except NoCorrelationForm as exc:
-        _refuse(exc, EXIT_DERIVATION)
+        _refuse("--p must be in [0, 1]")
+    psi, settings = state_and_settings(g, d, part)
+    report = steering_statistic(psi, settings, part, p)
     manifest = _manifest(
         "certify", {"graph_file": graph_file, "partition": sorted(part.side_a), "p": p}
     )
@@ -197,27 +198,21 @@ def fig4(d_list, n, p_max, steps, out):
     """Key-rate lower bound versus white noise (CSV: d,N,p,i_total,r_lower)."""
     dims = _parse_d_list(d_list)
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
-        click.echo("error: bad ranges", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        _refuse("bad ranges")
     grid = np.linspace(0.0, p_max, steps)
     rows = []
     deviation = 0.0
     for d in dims:
         g = make_star(n)
         part = Bipartition.from_side_a(g, {1})
-        try:
-            scan = key_rate_scan(g, d, part, grid)
-        except RegisterTooLarge as exc:
-            _refuse(exc)
-        for p, i_total, r_lower in scan:
+        for p, i_total, r_lower in key_rate_scan(g, d, part, grid):
             rows.append((d, n, p, i_total, r_lower))
             closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))
             deviation = max(deviation, abs(i_total - closed))
     manifest = _manifest("fig4", {"d": dims, "n": n, "p_max": p_max, "steps": steps})
     _emit(_csv_document(manifest, ["d", "N", "p", "i_total", "r_lower"], rows), out)
     if deviation > 1e-9:
-        click.echo(f"error: closed-form deviation {deviation} exceeds 1e-9", err=True)
-        raise SystemExit(EXIT_INVARIANT)
+        _refuse(f"closed-form deviation {deviation} exceeds 1e-9", EXIT_INVARIANT)
 
 
 @main.command()
@@ -252,8 +247,7 @@ def dc(d_list, out):
 def nosharing(d, samples, seed, out):
     """Monte-Carlo check of the no-sharing inequality over random attacks."""
     if d < 2 or samples < 1:
-        click.echo("error: bad ranges", err=True)
-        raise SystemExit(EXIT_VALIDATION)
+        _refuse("bad ranges")
     rng = np.random.default_rng(seed)
     bound = 2 * float(np.log2(d))
     max_total = 0.0
@@ -289,6 +283,8 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
         g, d = _load_graph(graph_file)
     else:
         g, d = make_star(3), 2
+    if disturbance is None:  # only the no-attack model builds the N-qudit state
+        QuditRegister(g.n_vertices, d)
     part = _parse_partition(g, partition)
     try:
         cfg = ProtocolConfig(
@@ -301,19 +297,11 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
             seed=seed,
         )
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(EXIT_VALIDATION)
-    try:
-        transcript = run_protocol(cfg)
-    except (NotTwoColorable, RegisterTooLarge) as exc:
-        _refuse(exc)
-    except NoCorrelationForm as exc:
-        _refuse(exc, EXIT_DERIVATION)
+        _refuse(str(exc))
+    transcript = run_protocol(cfg)
     est = estimate_rates(transcript, d)
     if out:
-        buf = io.StringIO()
-        transcript.to_jsonl(buf)
-        _atomic_write(out, buf.getvalue())
+        _atomic_write(out, transcript.to_jsonl)
     payload = {
         "i_hat_total": est.i_hat_total,
         "r_hat_lower": est.r_hat_lower,
@@ -347,8 +335,7 @@ def verify():
         click.echo(line)
         failed += not passed
     if failed:
-        click.echo(f"{failed} invariant check(s) failed", err=True)
-        raise SystemExit(EXIT_INVARIANT)
+        _refuse(f"{failed} invariant check(s) failed", EXIT_INVARIANT)
     click.echo(f"all {len(results)} invariant checks passed")
 
 

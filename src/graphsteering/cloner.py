@@ -64,6 +64,7 @@ def cloner_output(g: GammaDistribution) -> PureState:
     The four d-level registers are ordered (A, B, C, C').
     """
     d = g.d
+    register = QuditRegister(4, d)
     tensor = np.zeros((d, d, d, d), dtype=complex)
     for j in range(d):
         for k in range(d):
@@ -73,7 +74,7 @@ def cloner_output(g: GammaDistribution) -> PureState:
             ab = _bell_tensor(j, k, d)
             cc = _bell_tensor(j, (d - k) % d, d)
             tensor += w * np.einsum("ab,cd->abcd", ab, cc)
-    return PureState(QuditRegister(4, d), tensor.reshape(-1))
+    return PureState(register, tensor.reshape(-1))
 
 
 def q_marginals(g: GammaDistribution, m: int) -> np.ndarray:

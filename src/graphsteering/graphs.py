@@ -143,7 +143,7 @@ def parse_graph(text: str):
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise ValueError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValueError("graph file must be a JSON object")

@@ -15,14 +15,6 @@ import numpy as np
 from .graphs import Graph, two_color
 from .registers import PureState, QuditRegister
 
-# Largest amplitude vector build_graph_state allocates: 16 bytes per amplitude.
-MAX_STATE_BYTES = 2 ** 28
-
-
-class RegisterTooLarge(ValueError):
-    """The d^N amplitude vector of the requested register exceeds MAX_STATE_BYTES."""
-
-
 def fourier_op(d: int) -> np.ndarray:
     """Quantum Fourier transform: F|v'> = sum_v omega^{v'v} |v> / sqrt(d)."""
     if d < 2:
@@ -61,12 +53,6 @@ def edge_phase_mask(i: int, j: int, register: QuditRegister) -> np.ndarray:
 
 def build_graph_state(g: Graph, d: int) -> PureState:
     """Graph state: edge unitaries applied to the Fourier product state."""
-    size = 16 * d ** g.n_vertices
-    if size > MAX_STATE_BYTES:
-        raise RegisterTooLarge(
-            f"state of {g.n_vertices} qudits with d={d} needs {size} bytes, "
-            f"over the {MAX_STATE_BYTES}-byte limit"
-        )
     register = QuditRegister(g.n_vertices, d)
     amps = np.full(register.total_dim, register.total_dim ** -0.5, dtype=complex)
     for i, j in sorted(g.edges):

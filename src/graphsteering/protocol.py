@@ -10,7 +10,6 @@ white noise is then mixed into the joint table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +17,8 @@ import numpy as np
 
 from .cloner import cloner_output, measured_joint, phase_covariant_gamma
 from .graphs import Bipartition, Graph, two_color
-from .graphstate import build_graph_state
-from .steering import derive_both_settings
+from .registers import QuditRegister
+from .steering import state_and_settings
 from .schmidt import mix_white_noise, outcome_table
 
 
@@ -65,21 +64,13 @@ class Transcript:
         return counts
 
     def to_jsonl(self, stream) -> None:
-        """One JSON record per round."""
-        for k in range(len(self.setting_a)):
-            stream.write(
-                json.dumps(
-                    {
-                        "round": int(k),
-                        "ma": int(self.setting_a[k]),
-                        "mb": int(self.setting_b[k]),
-                        "a": int(self.outcome_a[k]),
-                        "b": int(self.outcome_b[k]),
-                        "sifted": bool(self.sifted[k]),
-                    }
-                )
-                + "\n"
-            )
+        """One JSON record per round, in ``json.dumps`` layout."""
+        columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b, self.sifted)
+        stream.writelines(
+            f'{{"round": {k}, "ma": {ma}, "mb": {mb}, "a": {a}, "b": {b}, '
+            f'"sifted": {"true" if s else "false"}}}\n'
+            for k, (ma, mb, a, b, s) in enumerate(zip(*(c.tolist() for c in columns)))
+        )
 
 
 @dataclass(frozen=True)
@@ -94,8 +85,7 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
     tables = {}
     if cfg.cloner_disturbance is None:
-        psi = build_graph_state(cfg.graph, cfg.d)
-        settings = derive_both_settings(cfg.graph, cfg.d, cfg.part)
+        psi, settings = state_and_settings(cfg.graph, cfg.d, cfg.part)
         for ma in (1, 2):
             for mb in (1, 2):
                 tables[(ma, mb)] = outcome_table(
@@ -103,6 +93,7 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
                 )
     else:
         two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs
+        QuditRegister(4, cfg.d)  # the cloner's registers, refused before the d x d gamma table
         output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
         for ma in (1, 2):
             for mb in (1, 2):

@@ -15,6 +15,13 @@ import numpy as np
 ATOL_ALGEBRA = 1e-12
 ATOL_EIG = 1e-10
 
+# Largest amplitude vector a register may describe: 16 bytes per amplitude.
+MAX_STATE_BYTES = 2 ** 28
+
+
+class RegisterTooLarge(ValueError):
+    """The 16 d^N-byte amplitude vector of the requested register exceeds MAX_STATE_BYTES."""
+
 
 @dataclass(frozen=True)
 class QuditRegister:
@@ -28,6 +35,13 @@ class QuditRegister:
             raise ValueError(f"n_qudits must be positive, got {self.n_qudits}")
         if self.local_dim < 2:
             raise ValueError(f"local_dim must be >= 2, got {self.local_dim}")
+        # 16 d^N >= 2^(N+4) for d >= 2, so a long register is refused before d**N is formed.
+        n, d = self.n_qudits, self.local_dim
+        if n >= MAX_STATE_BYTES.bit_length() or 16 * d ** n > MAX_STATE_BYTES:
+            raise RegisterTooLarge(
+                f"state of {n} qudits with d={d} needs 16*{d}^{n} bytes, "
+                f"over the {MAX_STATE_BYTES}-byte limit"
+            )
 
     @property
     def total_dim(self) -> int:

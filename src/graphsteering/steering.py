@@ -9,7 +9,7 @@ import numpy as np
 from .graphs import Bipartition, Graph, two_color
 from .graphstate import build_graph_state
 from .infotheory import mutual_information
-from .registers import DensityOperator, PureState
+from .registers import DensityOperator, PureState, QuditRegister
 from .schmidt import derive_setting, mix_white_noise, outcome_table
 
 # Strict steering inequality: require the margin to clear floating-point noise.
@@ -43,6 +43,18 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
+def state_and_settings(g: Graph, d: int, part: Bipartition):
+    """The graph state and its two settings, cheapest refusal first.
+
+    The register size is checked before the d^|class| setting search, and
+    the setting search (the only two-coloring) runs before the d^N state is
+    built, so an oversized or odd-cycle graph is refused without allocating.
+    """
+    QuditRegister(g.n_vertices, d)
+    settings = derive_both_settings(g, d, part)
+    return build_graph_state(g, d), settings
+
+
 def steering_statistic(
     psi: PureState, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
@@ -64,9 +76,9 @@ def steering_statistic(
 
 
 def _noiseless_tables(g: Graph, d: int, part: Bipartition):
-    """One noiseless joint table per setting; the state is built (and size-checked) first."""
-    psi = build_graph_state(g, d)
-    return [outcome_table(psi, s, s, part) for s in derive_both_settings(g, d, part)]
+    """One noiseless joint table per setting."""
+    psi, settings = state_and_settings(g, d, part)
+    return [outcome_table(psi, s, s, part) for s in settings]
 
 
 def _noisy_i_total(tables, p: float) -> float:

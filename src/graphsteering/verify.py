@@ -31,7 +31,7 @@ from . import (
     z_op,
 )
 from .registers import QuditRegister, states_equal_up_to_phase
-from .steering import derive_both_settings
+from .steering import state_and_settings
 
 
 def check_operator_unitarity():
@@ -84,8 +84,8 @@ def check_ideal_correlations():
     for d in (2, 3):
         for g in (make_star(3), make_chain(4)):
             part = Bipartition.from_side_a(g, {1})
-            psi = build_graph_state(g, d)
-            for s in derive_both_settings(g, d, part):
+            psi, settings = state_and_settings(g, d, part)
+            for s in settings:
                 table = outcome_table(psi, s, s, part)
                 assert np.max(np.abs(table - np.eye(d) / d)) < 1e-10
 

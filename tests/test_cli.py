@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from graphsteering import steering
 from graphsteering.cli import main
 
 
@@ -65,6 +66,18 @@ class TestCertify:
     def test_missing_file_exit_2(self, runner):
         res = runner.invoke(main, ["certify", "/nonexistent/graph.json"])
         assert res.exit_code == 2
+        assert res.stderr.startswith("error: FileNotFoundError")
+
+    def test_odd_cycle_refused_before_state_build(self, runner, tmp_path, monkeypatch):
+        def must_not_run(*args):
+            raise AssertionError("state built for a graph that has no settings")
+
+        monkeypatch.setattr(steering, "build_graph_state", must_not_run)
+        path = tmp_path / "cycle21.json"
+        path.write_text(json.dumps({"n": 21, "d": 2, "edges": [[k, k % 21 + 1] for k in range(1, 22)]}))
+        res = runner.invoke(main, ["certify", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: NotTwoColorable")
 
     def test_bad_partition_exit_2(self, runner, star3_file):
         res = runner.invoke(main, ["certify", star3_file, "--partition", "1,2,3"])
@@ -95,6 +108,13 @@ class TestCertify:
         res = runner.invoke(main, ["certify", str(path)])
         assert res.exit_code == 2
         assert "RegisterTooLarge" in res.stderr
+
+    def test_long_register_refused_before_partition(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
+        res = runner.invoke(main, ["certify", str(path)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: RegisterTooLarge")
 
     def test_csv_format(self, runner, star3_file):
         res = runner.invoke(main, ["certify", star3_file, "--format", "csv"])
@@ -181,6 +201,11 @@ class TestFig5AndDc:
         assert abs(float(rows[0][1]) - 0.1100) < 5e-4
         assert abs(float(rows[1][1]) - 0.1595) < 5e-4
 
+    def test_fig5_oversized_register_exit_2(self, runner):
+        res = runner.invoke(main, ["fig5", "--d", "1000"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: RegisterTooLarge")
+
     def test_consistency_between_commands(self, runner):
         res_dc = runner.invoke(main, ["dc", "--d", "2,3"])
         res_f5 = runner.invoke(main, ["fig5", "--d", "2,3"])
@@ -251,6 +276,12 @@ class TestQss:
         res = runner.invoke(main, ["qss", "--disturbance", "0.9"])
         assert res.exit_code == 2
 
+    def test_too_few_rounds_exit_2(self, runner):
+        # one round cannot sift both settings
+        res = runner.invoke(main, ["qss", "--rounds", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: InsufficientData")
+
     def test_odd_cycle_exit_2(self, runner, triangle_file):
         res = runner.invoke(main, ["qss", "--graph-file", triangle_file, "--rounds", "10"])
         assert res.exit_code == 2
@@ -263,6 +294,23 @@ class TestQss:
         )
         assert res.exit_code == 2
         assert "NotTwoColorable" in res.stderr
+
+    def test_long_register_refused_before_partition(self, runner, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
+        res = runner.invoke(main, ["qss", "--graph-file", str(path), "--rounds", "10"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: RegisterTooLarge")
+
+    @pytest.mark.parametrize("d", [1000, 10 ** 6])
+    def test_oversized_cloner_register_exit_2(self, runner, tmp_path, d):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"n": 3, "d": d, "edges": [[1, 2], [1, 3]]}))
+        res = runner.invoke(
+            main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "10"]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: RegisterTooLarge")
 
     def test_graph_file_with_d3(self, runner, tmp_path):
         path = tmp_path / "chain4d3.json"
@@ -281,3 +329,21 @@ class TestVerify:
         assert res.exit_code == 0
         assert "FAIL" not in res.output
         assert "invariant checks passed" in res.output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["certify", "GRAPH"],
+        ["fig4", "--d", "2", "--steps", "1"],
+        ["fig5", "--d", "2"],
+        ["dc", "--d", "2"],
+        ["nosharing", "--samples", "1"],
+        ["qss", "--rounds", "100"],
+    ],
+)
+def test_unwritable_out_exit_2(runner, star3_file, tmp_path, args):
+    args = [star3_file if a == "GRAPH" else a for a in args]
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x.out")])
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: FileNotFoundError")

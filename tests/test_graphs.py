@@ -3,6 +3,7 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 from graphsteering import (
     Bipartition,
@@ -142,6 +143,10 @@ class TestParseGraph:
         with pytest.raises(ValueError, match="missing field"):
             parse_graph(json.dumps({"n": 3, "edges": []}))
 
+    def test_deeply_nested(self):
+        with pytest.raises(ValueError, match="malformed JSON"):
+            parse_graph("[" * 100_000)
+
 
 class TestBipartition:
     def test_from_side_a(self):
@@ -172,3 +177,45 @@ class TestParseGraphRejectsBooleans:
     def test_boolean_rejected(self, text, field):
         with pytest.raises(ValueError, match=re.escape(field)):
             parse_graph(text)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=5), children, max_size=4),
+    max_leaves=12,
+)
+VERTEX = st.integers(-1, 6) | JSON_VALUES
+GRAPH_LIKE = st.fixed_dictionaries(
+    {
+        "n": st.integers(-1, 6) | JSON_VALUES,
+        "d": st.integers(0, 4) | JSON_VALUES,
+        "edges": st.lists(st.lists(VERTEX, max_size=3) | JSON_VALUES, max_size=5) | JSON_VALUES,
+    }
+)
+VALID_TEXT = '{"n": 4, "d": 3, "edges": [[1, 2], [2, 3], [3, 4]]}'
+
+
+def parses_or_refuses(text):
+    """parse_graph either returns (Graph, d >= 2) or raises ValueError; nothing else."""
+    try:
+        g, d = parse_graph(text)
+    except ValueError:
+        return
+    assert isinstance(g, Graph)
+    assert isinstance(d, int) and not isinstance(d, bool) and d >= 2
+
+
+class TestParseGraphFuzz:
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES | GRAPH_LIKE)
+    def test_arbitrary_json(self, doc):
+        parses_or_refuses(json.dumps(doc))
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_mutated_valid_document(self, data):
+        start = data.draw(st.integers(0, len(VALID_TEXT)))
+        stop = data.draw(st.integers(start, min(start + 3, len(VALID_TEXT))))
+        insert = data.draw(st.text(alphabet='[]{},:"0123456789-.e ntruefalsd', max_size=3))
+        parses_or_refuses(VALID_TEXT[:start] + insert + VALID_TEXT[stop:])

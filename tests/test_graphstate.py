@@ -16,7 +16,7 @@ from graphsteering import (
     x_op,
     z_op,
 )
-from graphsteering import graphstate
+from graphsteering import registers
 from graphsteering.graphstate import PauliWord, edge_phase_mask
 from graphsteering.registers import states_equal_up_to_phase
 
@@ -114,7 +114,7 @@ class TestBuildGraphState:
             build_graph_state(make_star(64), 2)
 
     def test_size_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(graphstate, "MAX_STATE_BYTES", 16 * 2 ** 3)
+        monkeypatch.setattr(registers, "MAX_STATE_BYTES", 16 * 2 ** 3)
         assert build_graph_state(make_star(3), 2).register.total_dim == 8
         with pytest.raises(RegisterTooLarge):
             build_graph_state(make_star(4), 2)

@@ -7,6 +7,7 @@ from graphsteering import (
     DensityOperator,
     PureState,
     QuditRegister,
+    RegisterTooLarge,
     fourier_op,
     partial_trace,
     random_state,
@@ -135,6 +136,19 @@ class TestValidation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             PureState(QuditRegister(1, 2), np.array([1.0, 1.0]))
+
+
+class TestSizeGuard:
+    def test_long_register_refused_without_forming_d_power_n(self):
+        # 3**(10**9) alone would take minutes to compute
+        with pytest.raises(RegisterTooLarge, match="1000000000 qudits"):
+            QuditRegister(10 ** 9, 3)
+
+    def test_wide_register_refused(self):
+        # 16 * 64**4 == 2**28 is the largest accepted vector at N=4
+        assert QuditRegister(4, 64).total_dim == 64 ** 4
+        with pytest.raises(RegisterTooLarge):
+            QuditRegister(4, 65)
 
 
 class TestPermuteQudits:

@@ -5,6 +5,7 @@ from graphsteering import (
     Bipartition,
     Graph,
     NotTwoColorable,
+    RegisterTooLarge,
     build_graph_state,
     critical_disturbance,
     derive_both_settings,
@@ -16,6 +17,8 @@ from graphsteering import (
     steering_statistic,
     white_noise,
 )
+from graphsteering import steering
+from graphsteering.steering import state_and_settings
 
 
 def binary_search_root(f, lo, hi, tol=1e-12):
@@ -183,6 +186,24 @@ class TestDeriveBothSettings:
         g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
         with pytest.raises(NotTwoColorable):
             derive_both_settings(g, 2, Bipartition.from_side_a(g, {1}))
+
+
+def _must_not_run(*args):
+    raise AssertionError("called after the input should have been refused")
+
+
+class TestStateAndSettings:
+    def test_odd_cycle_refused_before_state_build(self, monkeypatch):
+        monkeypatch.setattr(steering, "build_graph_state", _must_not_run)
+        g = Graph(21, frozenset((k, k % 21 + 1) for k in range(1, 22)))
+        with pytest.raises(NotTwoColorable):
+            state_and_settings(g, 2, Bipartition.from_side_a(g, {1}))
+
+    def test_oversized_register_refused_before_setting_search(self, monkeypatch):
+        monkeypatch.setattr(steering, "derive_both_settings", _must_not_run)
+        g = make_star(64)
+        with pytest.raises(RegisterTooLarge):
+            state_and_settings(g, 2, Bipartition.from_side_a(g, {1}))
 
 
 class TestDisturbanceEntropy:
