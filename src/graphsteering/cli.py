@@ -22,7 +22,7 @@ from . import __version__
 from .cloner import dirichlet_gamma, no_sharing_sum
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
 from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_protocol
-from .registers import QuditRegister, RegisterTooLarge
+from .registers import MAX_STATE_BYTES, QuditRegister, RegisterTooLarge
 from .schmidt import NoCorrelationForm
 from .steering import (
     critical_disturbance,
@@ -88,6 +88,15 @@ def _csv_cell(x) -> str:
 def _refuse(reason: str, code: int = EXIT_VALIDATION):
     click.echo(f"error: {reason}", err=True)
     raise SystemExit(code)
+
+
+def _bound(option: str, value: int, n_bytes: int) -> None:
+    """Refuse an option value whose array of ``n_bytes`` bytes exceeds MAX_STATE_BYTES."""
+    if n_bytes > MAX_STATE_BYTES:
+        _refuse(
+            f"{option} {value} needs a {n_bytes}-byte array, "
+            f"over the {MAX_STATE_BYTES}-byte limit"
+        )
 
 
 class _RefusingGroup(click.Group):
@@ -199,6 +208,7 @@ def fig4(d_list, n, p_max, steps, out):
     dims = _parse_d_list(d_list)
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
         _refuse("bad ranges")
+    _bound("--steps", steps, 8 * steps)  # the float64 noise grid
     grid = np.linspace(0.0, p_max, steps)
     rows = []
     deviation = 0.0
@@ -248,6 +258,7 @@ def nosharing(d, samples, seed, out):
     """Monte-Carlo check of the no-sharing inequality over random attacks."""
     if d < 2 or samples < 1:
         _refuse("bad ranges")
+    _bound("--d", d, 8 * d * d)  # each sample's float64 d x d gamma table
     rng = np.random.default_rng(seed)
     bound = 2 * float(np.log2(d))
     max_total = 0.0
@@ -279,12 +290,12 @@ def nosharing(d, samples, seed, out):
 @click.option("--out", default=None, type=click.Path(), help="Transcript JSONL file.")
 def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     """Run the secret-sharing protocol simulation and report rate estimates."""
+    _bound("--rounds", rounds, 8 * rounds)  # each int64 per-round column
     if graph_file is not None:
         g, d = _load_graph(graph_file)
     else:
         g, d = make_star(3), 2
-    if disturbance is None:  # only the no-attack model builds the N-qudit state
-        QuditRegister(g.n_vertices, d)
+    QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
     part = _parse_partition(g, partition)
     try:
         cfg = ProtocolConfig(

@@ -118,32 +118,55 @@ def derive_setting(
     generators = sorted(fourier_class)
     if not generators:
         raise NoCorrelationForm(f"no Fourier-measured vertices for setting m={m}")
-    neighbor_sets = {a: g.neighbors(a) for a in generators}
+    neighbors = {a: [] for a in generators}
+    for i, j in g.edges:
+        for a, b in ((i, j), (j, i)):
+            if a in neighbors:
+                neighbors[a].append(b)
 
-    best = None
-    for n_vec in itertools.product(range(d), repeat=len(generators)):
-        if not any(n_vec):
-            continue
-        coeff = {v: 0 for v in range(1, g.n_vertices + 1)}
-        for a, n_a in zip(generators, n_vec):
-            if n_a == 0:
-                continue
-            coeff[a] = (coeff[a] - n_a) % d  # Fourier outcome w carries X-eigenvalue -w
-            for b in neighbor_sets[a]:
-                coeff[b] = (coeff[b] + n_a) % d
-        fa = tuple(coeff[v] for v in a_vertices)
-        fb = tuple((-coeff[v]) % d for v in b_vertices)
-        if not (_surjective(fa, d) and _surjective(fb, d)):
-            continue
-        support = tuple(sorted(v for v in coeff if coeff[v] != 0))
-        key = (len(support), support, n_vec)
-        if best is None or key < best[0]:
-            best = (key, fa, fb)
-    if best is None:
+    # No edge joins two Fourier vertices, so exponent n_a != 0 puts -n_a on
+    # vertex a itself: a vector of Hamming weight w acts on at least w vertices.
+    # Visiting weights in increasing order, the search may stop once w exceeds
+    # the best support size, and still returns the minimum over all d^k - 1.
+    # At w equal to that size a rival acts on its w Fourier vertices alone, and
+    # those come in increasing order, so the search also stops once they pass
+    # the best support.
+    k = len(generators)
+    best_key, best_coeff = (math.inf,), None
+    for w in range(1, k + 1):
+        if w > best_key[0]:
+            break
+        for positions in itertools.combinations(range(k), w):
+            if w == best_key[0] and tuple(generators[pos] for pos in positions) > best_key[1]:
+                break
+            for values in itertools.product(range(1, d), repeat=w):
+                coeff = {}
+                for pos, n_a in zip(positions, values):
+                    a = generators[pos]
+                    coeff[a] = coeff.get(a, 0) - n_a  # Fourier outcome w carries X-eigenvalue -w
+                    for b in neighbors[a]:
+                        coeff[b] = coeff.get(b, 0) + n_a
+                gcd_a = gcd_b = d  # c.x is onto Z_d iff gcd(c, d) = 1, and gcd(-c, d) = gcd(c, d)
+                for v, c in coeff.items():
+                    if v in part.side_a:
+                        gcd_a = math.gcd(gcd_a, c)
+                    else:
+                        gcd_b = math.gcd(gcd_b, c)
+                if gcd_a != 1 or gcd_b != 1:
+                    continue
+                support = tuple(sorted(v for v, c in coeff.items() if c % d))
+                n_vec = [0] * k
+                for pos, n_a in zip(positions, values):
+                    n_vec[pos] = n_a
+                key = (len(support), support, tuple(n_vec))
+                if key < best_key:
+                    best_key, best_coeff = key, coeff
+    if best_coeff is None:
         raise NoCorrelationForm(
             f"no surjective side-local correlation form for A={sorted(part.side_a)}, m={m}"
         )
-    _, fa, fb = best
+    fa = tuple(best_coeff.get(v, 0) % d for v in a_vertices)
+    fb = tuple(-best_coeff.get(v, 0) % d for v in b_vertices)
     return MeasurementSetting(m, local_bases, a_vertices, b_vertices, fa, fb)
 
 

@@ -116,6 +116,24 @@ class TestCertify:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: RegisterTooLarge")
 
+    @pytest.mark.parametrize(
+        "doc, partition, reason",
+        [
+            ('{"n": 2, "d": 3, "edges": []}', "1", "no Fourier-measured vertices"),
+            # isolated vertex 3 is computational for m=1, and no Fourier stabilizer reads it
+            ('{"n": 3, "d": 2, "edges": [[1, 2]]}', "3", "no surjective"),
+        ],
+    )
+    def test_no_correlation_form_exit_3(self, runner, tmp_path, doc, partition, reason):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        res = runner.invoke(main, ["certify", str(path), "--partition", partition])
+        assert res.exit_code == 3
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: NoCorrelationForm")
+        assert reason in lines[0]
+
     def test_csv_format(self, runner, star3_file):
         res = runner.invoke(main, ["certify", star3_file, "--format", "csv"])
         assert res.exit_code == 0
@@ -177,6 +195,11 @@ class TestFig4:
         assert res.exit_code == 2
         assert "RegisterTooLarge" in res.stderr
 
+    def test_oversized_grid_exit_2(self, runner):
+        res = runner.invoke(main, ["fig4", "--d", "2", "--steps", "10000000000"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --steps")
+
     def test_bad_ranges_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--n", "1"])
         assert res.exit_code == 2
@@ -236,6 +259,11 @@ class TestNoSharing:
     def test_bad_samples_exit_2(self, runner):
         res = runner.invoke(main, ["nosharing", "--samples", "0"])
         assert res.exit_code == 2
+
+    def test_oversized_gamma_table_exit_2(self, runner):
+        res = runner.invoke(main, ["nosharing", "--d", "100000", "--samples", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --d")
 
 
 class TestQss:
@@ -301,6 +329,21 @@ class TestQss:
         res = runner.invoke(main, ["qss", "--graph-file", str(path), "--rounds", "10"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: RegisterTooLarge")
+
+    def test_long_register_with_disturbance_refused(self, runner, tmp_path):
+        # the cloner model never builds the N-qudit state, but the size guard still runs
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
+        res = runner.invoke(
+            main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "10"]
+        )
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: RegisterTooLarge")
+
+    def test_oversized_round_arrays_exit_2(self, runner):
+        res = runner.invoke(main, ["qss", "--rounds", "10000000000"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --rounds")
 
     @pytest.mark.parametrize("d", [1000, 10 ** 6])
     def test_oversized_cloner_register_exit_2(self, runner, tmp_path, d):

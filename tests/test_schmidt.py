@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -398,3 +399,100 @@ class TestOutcomeTable:
         for p in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 outcome_table(build_graph_state(g, 2), settings[0], settings[0], part, p)
+
+
+def exhaustive_forms(g, d, coloring, part, m):
+    """Reference search: every one of the d^k exponent vectors, canonical minimum kept.
+
+    This is the enumeration ``derive_setting`` used before its weight-ordered
+    search; it returns (fa_coeffs, fb_coeffs) or raises NoCorrelationForm.
+    """
+    generators = sorted(coloring.color_class(1 if m == 1 else 0))
+    if not generators:
+        raise NoCorrelationForm(f"no Fourier-measured vertices for setting m={m}")
+    a_vertices, b_vertices = sorted(part.side_a), sorted(part.side_b)
+    neighbor_sets = {a: g.neighbors(a) for a in generators}
+    best = None
+    for n_vec in itertools.product(range(d), repeat=len(generators)):
+        if not any(n_vec):
+            continue
+        coeff = {v: 0 for v in range(1, g.n_vertices + 1)}
+        for a, n_a in zip(generators, n_vec):
+            if n_a == 0:
+                continue
+            coeff[a] = (coeff[a] - n_a) % d
+            for b in neighbor_sets[a]:
+                coeff[b] = (coeff[b] + n_a) % d
+        fa = tuple(coeff[v] for v in a_vertices)
+        fb = tuple((-coeff[v]) % d for v in b_vertices)
+        if math.gcd(*fa, d) != 1 or math.gcd(*fb, d) != 1:
+            continue
+        support = tuple(sorted(v for v in coeff if coeff[v] != 0))
+        key = (len(support), support, n_vec)
+        if best is None or key < best[0]:
+            best = (key, fa, fb)
+    if best is None:
+        raise NoCorrelationForm(f"no surjective side-local correlation form, m={m}")
+    return best[1], best[2]
+
+
+# Largest N per d that keeps the reference under 10^4 candidates per setting.
+EXHAUSTIVE_MAX_N = {2: 9, 3: 8, 4: 6, 5: 5, 6: 5}
+
+
+class TestSearchMatchesExhaustive:
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_bipartite_graphs(self, data):
+        d = data.draw(st.sampled_from(sorted(EXHAUSTIVE_MAX_N)), label="d")
+        n = data.draw(st.integers(2, EXHAUSTIVE_MAX_N[d]), label="n")
+        colors = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="colors")
+        pairs = [
+            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+            if colors[i - 1] != colors[j - 1]
+        ]
+        edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges") if pairs else set()
+        side_a = data.draw(
+            st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="side_a"
+        )
+        g = Graph(n, frozenset(edges))
+        part = Bipartition.from_side_a(g, side_a)
+        coloring = two_color(g)
+        for m in (1, 2):
+            try:
+                expected = exhaustive_forms(g, d, coloring, part, m)
+            except NoCorrelationForm:
+                with pytest.raises(NoCorrelationForm):
+                    derive_setting(g, d, coloring, part, m)
+                continue
+            s = derive_setting(g, d, coloring, part, m)
+            assert (s.fa_coeffs, s.fb_coeffs) == expected
+
+
+def nonzero(vertices, coeffs):
+    return {v: c for v, c in zip(vertices, coeffs) if c}
+
+
+# Forms of the exhaustive search, which needs 0.1-0.6 s per cut on these sizes:
+# (graph, d, A side, ((A form, B form) for m=1, for m=2)) with zero entries left out.
+PINNED_LARGE = [
+    (make_chain(28), 2, {11}, (({11: 1}, {9: 1, 10: 1}), ({11: 1}, {10: 1, 12: 1}))),
+    (make_chain(28), 2, set(range(1, 14)), (({13: 1}, {14: 1, 15: 1}), ({12: 1, 13: 1}, {14: 1}))),
+    (make_chain(18), 3, {8}, (({8: 2}, {7: 2, 9: 2}), ({8: 1}, {6: 2, 7: 1}))),
+    (make_chain(18), 3, set(range(1, 10)), (({9: 1}, {10: 1, 11: 2}), ({8: 1, 9: 2}, {10: 2}))),
+    (make_grid(4, 6), 2, {9}, (({9: 1}, {1: 1, 2: 1, 10: 1, 15: 1}), ({9: 1}, {1: 1, 8: 1, 14: 1}))),
+    (make_grid(4, 6), 2, set(range(1, 7)), (({5: 1, 6: 1}, {12: 1}), ({1: 1, 2: 1}, {7: 1}))),
+]
+
+
+class TestPinnedLargeCases:
+    @pytest.mark.parametrize("g, d, side_a, expected", PINNED_LARGE)
+    def test_forms(self, g, d, side_a, expected):
+        part = Bipartition.from_side_a(g, side_a)
+        settings = derive_both_settings(g, d, part)
+        got = tuple(
+            (nonzero(s.a_vertices, s.fa_coeffs), nonzero(s.b_vertices, s.fb_coeffs))
+            for s in settings
+        )
+        assert got == expected
+
