@@ -25,6 +25,7 @@ from .graphs import (
     two_color,
     make_star,
     make_chain,
+    make_grid,
     parse_graph,
 )
 from .graphstate import (
@@ -44,7 +45,7 @@ from .schmidt import (
     derive_setting,
     build_povm,
     joint_distribution,
-    outcome_table,
+    stabilizer_table,
 )
 from .infotheory import (
     CqEnsemble,

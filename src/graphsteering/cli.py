@@ -25,11 +25,11 @@ from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_prot
 from .registers import MAX_STATE_BYTES, QuditRegister, RegisterTooLarge
 from .schmidt import NoCorrelationForm
 from .steering import (
+    checked_settings,
     critical_disturbance,
     disturbance_entropy,
     key_rate_scan,
     noise_threshold,
-    state_and_settings,
     steering_statistic,
 )
 from . import verify as verify_mod
@@ -162,8 +162,7 @@ def certify(graph_file, partition, p, fmt, out):
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
         _refuse("--p must be in [0, 1]")
-    psi, settings = state_and_settings(g, d, part)
-    report = steering_statistic(psi, settings, part, p)
+    report = steering_statistic(g, d, checked_settings(g, d, part), part, p)
     manifest = _manifest(
         "certify", {"graph_file": graph_file, "partition": sorted(part.side_a), "p": p}
     )
@@ -178,23 +177,11 @@ def certify(graph_file, partition, p, fmt, out):
     if fmt == "json":
         _emit(json.dumps(payload, indent=2) + "\n", out)
     else:
-        _emit(
-            _csv_document(
-                manifest,
-                ["i_setting_1", "i_setting_2", "i_total", "threshold", "steerable", "margin"],
-                [
-                    (
-                        report.i_per_setting[0],
-                        report.i_per_setting[1],
-                        report.i_total,
-                        report.threshold,
-                        report.steerable,
-                        report.margin,
-                    )
-                ],
-            ),
-            out,
+        header = ["i_setting_1", "i_setting_2", "i_total", "threshold", "steerable", "margin"]
+        row = (
+            *report.i_per_setting, report.i_total, report.threshold, report.steerable, report.margin
         )
+        _emit(_csv_document(manifest, header, [row]), out)
 
 
 @main.command()

@@ -130,6 +130,16 @@ def make_chain(n: int) -> Graph:
     return Graph(n, frozenset((k, k + 1) for k in range(1, n)))
 
 
+def make_grid(rows: int, cols: int) -> Graph:
+    """rows x cols square lattice, vertices numbered row by row from 1."""
+    if rows < 1 or cols < 1 or rows * cols < 2:
+        raise ValueError("grid graph needs at least two vertices")
+    label = lambda r, c: r * cols + c + 1
+    edges = {(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)}
+    edges |= {(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)}
+    return Graph(rows * cols, frozenset(edges))
+
+
 def _is_int(x) -> bool:
     """JSON integer: json.loads gives bool for true/false, which Python counts as int."""
     return isinstance(x, int) and not isinstance(x, bool)

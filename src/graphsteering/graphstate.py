@@ -91,41 +91,19 @@ class PauliWord:
         out[target] = omega ** (phase_exp % d) * psi.amplitudes
         return PureState(reg, out)
 
-    def matrix(self, d: int) -> np.ndarray:
-        """Dense matrix realization (kron of per-qudit X^x Z^z factors)."""
-        xm, zm = x_op(d), z_op(d)
-        out = np.ones((1, 1), dtype=complex)
-        for x, z in zip(self.x_exponents, self.z_exponents):
-            factor = np.linalg.matrix_power(xm, x) @ np.linalg.matrix_power(zm, z)
-            out = np.kron(out, factor)
-        return out
-
 
 def stabilizer_generators(g: Graph, d: int) -> list[PauliWord]:
-    """One generator per vertex: a shift on the vertex, clocks on its neighbors.
+    """One generator X_a Z_{N(a)} per vertex a: a shift on a, clocks on its neighbors.
 
-    Phase conventions for the shift direction differ across the literature, so
-    the X vs X-dagger placement is fixed by numeric trial against the built
-    state; the stabilizing variant is canonical.
+    It fixes the built state for every d >= 2: with q(x) = sum_{ij in E} x_i x_j,
+    <psi|X^u Z^z|psi> = [z = Gamma u mod d] omega^(-q(u)), and u = e_a,
+    z = Gamma e_a give q(u) = 0.
     """
+    if d < 2:
+        raise ValueError("d must be >= 2")
     two_color(g)
     n = g.n_vertices
-    psi = build_graph_state(g, d)
-
-    def words(x_power: int) -> list[PauliWord]:
-        out = []
-        for a in range(1, n + 1):
-            x = [0] * n
-            z = [0] * n
-            x[a - 1] = x_power
-            for b in g.neighbors(a):
-                z[b - 1] = 1
-            out.append(PauliWord(tuple(x), tuple(z)))
-        return out
-
-    for x_power in (1, d - 1):
-        candidate = words(x_power)
-        fixed = candidate[0].apply(psi)
-        if np.max(np.abs(fixed.amplitudes - psi.amplitudes)) < 1e-10:
-            return candidate
-    raise AssertionError("neither shift direction stabilizes the built state")
+    z = [[0] * n for _ in range(n)]
+    for i, j in g.edges:
+        z[i - 1][j - 1] = z[j - 1][i - 1] = 1
+    return [PauliWord(tuple(int(b == a) for b in range(n)), tuple(z[a])) for a in range(n)]

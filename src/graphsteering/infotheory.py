@@ -21,22 +21,23 @@ def _check_prob_table(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, None)
 
 
-def shannon_entropy(p) -> float:
-    """-sum p log2 p with the 0*log0 = 0 convention."""
-    p = _check_prob_table(p).reshape(-1)
+def _entropy(p: np.ndarray) -> float:
+    """-sum p log2 p of a checked, non-negative table, with 0*log0 = 0."""
     nz = p[p > 0]
     return float(-np.sum(nz * np.log2(nz)))
 
 
+def shannon_entropy(p) -> float:
+    """-sum p log2 p with the 0*log0 = 0 convention."""
+    return _entropy(_check_prob_table(p))
+
+
 def mutual_information(joint) -> float:
-    """I(A;B) = H(A) + H(B) - H(A,B) of a 2-D joint table."""
+    """I(A;B) = H(A) + H(B) - H(A,B) of a 2-D joint table, checked once."""
     joint = _check_prob_table(joint)
     if joint.ndim != 2:
         raise ValueError("mutual_information expects a 2-D joint table")
-    h_a = shannon_entropy(joint.sum(axis=1))
-    h_b = shannon_entropy(joint.sum(axis=0))
-    h_ab = shannon_entropy(joint)
-    return h_a + h_b - h_ab
+    return _entropy(joint.sum(axis=1)) + _entropy(joint.sum(axis=0)) - _entropy(joint)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 from .cloner import cloner_output, measured_joint, phase_covariant_gamma
 from .graphs import Bipartition, Graph, two_color
 from .registers import QuditRegister
-from .steering import state_and_settings
-from .schmidt import mix_white_noise, outcome_table
+from .schmidt import mix_white_noise, stabilizer_table
+from .steering import checked_settings
 
 
 class InsufficientData(RuntimeError):
@@ -85,11 +85,11 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
     tables = {}
     if cfg.cloner_disturbance is None:
-        psi, settings = state_and_settings(cfg.graph, cfg.d, cfg.part)
+        settings = checked_settings(cfg.graph, cfg.d, cfg.part)
         for ma in (1, 2):
             for mb in (1, 2):
-                tables[(ma, mb)] = outcome_table(
-                    psi, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
+                tables[(ma, mb)] = stabilizer_table(
+                    cfg.graph, cfg.d, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
                 )
     else:
         two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs

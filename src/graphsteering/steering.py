@@ -7,10 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Bipartition, Graph, two_color
-from .graphstate import build_graph_state
 from .infotheory import mutual_information
 from .registers import DensityOperator, PureState, QuditRegister
-from .schmidt import derive_setting, mix_white_noise, outcome_table
+from .schmidt import derive_setting, mix_white_noise, stabilizer_table
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
@@ -43,25 +42,23 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
-def state_and_settings(g: Graph, d: int, part: Bipartition):
-    """The graph state and its two settings, cheapest refusal first.
+def checked_settings(g: Graph, d: int, part: Bipartition):
+    """The two settings, cheapest refusal first.
 
-    The register size is checked before the d^|class| setting search, and
-    the setting search (the only two-coloring) runs before the d^N state is
-    built, so an oversized or odd-cycle graph is refused without allocating.
+    The register size is checked before the d^|class| setting search, so an
+    oversized graph is refused before any search; the search then refuses a
+    graph with an odd cycle.
     """
     QuditRegister(g.n_vertices, d)
-    settings = derive_both_settings(g, d, part)
-    return build_graph_state(g, d), settings
+    return derive_both_settings(g, d, part)
 
 
 def steering_statistic(
-    psi: PureState, settings, part: Bipartition, p: float = 0.0
+    g: Graph, d: int, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
-    """Per-setting mutual information of the p-noisy state versus the log2(d) floor."""
-    d = psi.register.local_dim
+    """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor."""
     i_per = tuple(
-        mutual_information(outcome_table(psi, s, s, part, p)) for s in settings
+        mutual_information(stabilizer_table(g, d, s, s, part, p)) for s in settings
     )
     i_total = float(sum(i_per))
     threshold = float(np.log2(d))
@@ -77,8 +74,7 @@ def steering_statistic(
 
 def _noiseless_tables(g: Graph, d: int, part: Bipartition):
     """One noiseless joint table per setting."""
-    psi, settings = state_and_settings(g, d, part)
-    return [outcome_table(psi, s, s, part) for s in settings]
+    return [stabilizer_table(g, d, s, s, part) for s in checked_settings(g, d, part)]
 
 
 def _noisy_i_total(tables, p: float) -> float:

@@ -12,26 +12,26 @@ import numpy as np
 from . import (
     Bipartition,
     critical_disturbance,
-    build_graph_state,
+    derive_both_settings,
     dirichlet_gamma,
     disturbance_entropy,
     fourier_op,
     make_chain,
+    make_grid,
     make_star,
     mutual_information,
     no_sharing_sum,
     noise_threshold,
-    outcome_table,
     partial_trace,
     random_state,
     schmidt_decompose,
     stabilizer_generators,
-    two_color,
+    stabilizer_table,
     x_op,
     z_op,
 )
-from .registers import QuditRegister, states_equal_up_to_phase
-from .steering import state_and_settings
+from .graphstate import edge_phase_mask
+from .registers import PureState, QuditRegister, states_equal_up_to_phase
 
 
 def check_operator_unitarity():
@@ -51,16 +51,24 @@ def check_partial_trace():
     assert abs(np.trace(direct.matrix).real - 1.0) < 1e-12
 
 
+def _closed_form_state(g, d: int) -> PureState:
+    """psi(x) = d^(-N/2) omega^q(x) with q(x) = sum_{ij in E} x_i x_j, the tables' premise."""
+    reg = QuditRegister(g.n_vertices, d)
+    q = np.zeros(reg.total_dim, dtype=np.int64)
+    for i, j in g.edges:
+        q += reg.digit_table(i) * reg.digit_table(j)
+    return PureState(reg, np.exp(2j * np.pi * (q % d) / d) / np.sqrt(reg.total_dim))
+
+
 def check_build_order_independence():
+    """Edge phase masks in any order give the closed-form amplitudes."""
     rng = np.random.default_rng(7)
     g = make_chain(4)
-    ref = build_graph_state(g, 3)
+    ref = _closed_form_state(g, 3)
+    reg = ref.register
     edges = list(g.edges)
     for _ in range(5):
         rng.shuffle(edges)
-        reg = ref.register
-        from .graphstate import edge_phase_mask
-
         amps = np.full(reg.total_dim, reg.total_dim ** -0.5, dtype=complex)
         for i, j in edges:
             amps = amps * edge_phase_mask(i, j, reg)
@@ -70,7 +78,7 @@ def check_build_order_independence():
 def check_stabilizers():
     rng = np.random.default_rng(13)
     for g, d in ((make_star(4), 2), (make_chain(4), 3)):
-        psi = build_graph_state(g, d)
+        psi = _closed_form_state(g, d)
         words = stabilizer_generators(g, d)
         for _ in range(10):
             state = psi
@@ -81,13 +89,14 @@ def check_stabilizers():
 
 
 def check_ideal_correlations():
-    for d in (2, 3):
-        for g in (make_star(3), make_chain(4)):
-            part = Bipartition.from_side_a(g, {1})
-            psi, settings = state_and_settings(g, d, part)
-            for s in settings:
-                table = outcome_table(psi, s, s, part)
-                assert np.max(np.abs(table - np.eye(d) / d)) < 1e-10
+    """Diagonal closed-form tables with i_total = 2 log2 d, also where no state vector fits."""
+    cases = [(g, d, {1}) for d in (2, 3) for g in (make_star(3), make_chain(4))]
+    for g, d, side_a in cases + [(make_star(1000), 3, {1}), (make_grid(12, 12), 2, {1, 12})]:
+        part = Bipartition.from_side_a(g, side_a)
+        tables = [stabilizer_table(g, d, s, s, part) for s in derive_both_settings(g, d, part)]
+        assert all(np.max(np.abs(t - np.eye(d) / d)) < 1e-10 for t in tables)
+        i_total = sum(mutual_information(t) for t in tables)
+        assert abs(i_total - 2 * np.log2(d)) < 1e-9, f"N={g.n_vertices}, d={d}: i_total {i_total}"
 
 
 def check_schmidt_reconstruction():

@@ -1,0 +1,49 @@
+"""State-vector oracle for the closed-form outcome tables (16 d^N bytes: small N only)."""
+
+import numpy as np
+
+from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
+
+
+def _form_values(coeffs, d: int) -> np.ndarray:
+    """c.x mod d for every x in Z_d^k, as an array of shape (d,) * k."""
+    values = np.zeros((), dtype=np.intp)
+    for c in coeffs:
+        values = np.add.outer(values, c * np.arange(d)) % d
+    return values
+
+
+def outcome_table(psi, setting_a, setting_b, part, p: float = 0.0) -> np.ndarray:
+    """P(a, b) for A measuring ``setting_a`` and B ``setting_b``, from the amplitudes.
+
+    The conjugate Fourier matrix (numpy's orthonormal DFT) is applied on the
+    Fourier-measured axes that a form reads; axes no form reads are summed out
+    in any basis.  The squared moduli are then binned by
+    (fa.x_A mod d, fb.x_B mod d), and white noise is mixed in closed form.
+    """
+    d = psi.register.local_dim
+    a_vertices, b_vertices = tuple(sorted(part.side_a)), tuple(sorted(part.side_b))
+    if setting_a.a_vertices != a_vertices or setting_b.b_vertices != b_vertices:
+        raise ValueError("setting vertices do not match the bipartition")
+    if not (_surjective(setting_a.fa_coeffs, d) and _surjective(setting_b.fb_coeffs, d)):
+        raise ValueError("correlation forms must be surjective onto Z_d")
+    coeff_a = dict(zip(a_vertices, setting_a.fa_coeffs))
+    coeff_b = dict(zip(b_vertices, setting_b.fb_coeffs))
+    bases = {v: setting_a.local_bases[v] for v in a_vertices}
+    bases.update({v: setting_b.local_bases[v] for v in b_vertices})
+    read = [v for v in range(1, psi.register.n_qudits + 1) if coeff_a.get(v) or coeff_b.get(v)]
+
+    amps = psi.amplitudes.reshape((d,) * psi.register.n_qudits)
+    fourier_axes = [v - 1 for v in read if bases[v] == FOURIER]
+    if fourier_axes:
+        amps = np.fft.fftn(amps, axes=fourier_axes, norm="ortho")
+    probs = amps.real ** 2 + amps.imag ** 2
+    unread = tuple(v - 1 for v in range(1, psi.register.n_qudits + 1) if v not in read)
+    probs = probs.sum(axis=unread)
+
+    index = _form_values([coeff_a.get(v, 0) for v in read], d) * d
+    index = index + _form_values([coeff_b.get(v, 0) for v in read], d)
+    table = np.bincount(index.reshape(-1), weights=probs.reshape(-1), minlength=d * d)
+    if abs(table.sum() - 1.0) > 1e-10:
+        raise ValueError(f"joint distribution sums to {table.sum()}")
+    return mix_white_noise(table.reshape(d, d), p)

@@ -112,7 +112,7 @@ def test_criterion_2_ideal_steering_value():
     cases = 0
     for g, d, part in sweep_cases():
         settings = derive_both_settings(g, d, part)
-        stat = steering_statistic(build_graph_state(g, d), settings, part)
+        stat = steering_statistic(g, d, settings, part)
         worst = max(worst, abs(stat.i_total - 2 * np.log2(d)))
         cases += 1
     elapsed = time.monotonic() - start

@@ -1,10 +1,12 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from graphsteering import steering
+import oracle
+from graphsteering import graphstate
 from graphsteering.cli import main
 
 
@@ -72,7 +74,7 @@ class TestCertify:
         def must_not_run(*args):
             raise AssertionError("state built for a graph that has no settings")
 
-        monkeypatch.setattr(steering, "build_graph_state", must_not_run)
+        monkeypatch.setattr(graphstate, "build_graph_state", must_not_run)
         path = tmp_path / "cycle21.json"
         path.write_text(json.dumps({"n": 21, "d": 2, "edges": [[k, k % 21 + 1] for k in range(1, 22)]}))
         res = runner.invoke(main, ["certify", str(path)])
@@ -372,6 +374,41 @@ class TestVerify:
         assert res.exit_code == 0
         assert "FAIL" not in res.output
         assert "invariant checks passed" in res.output
+
+
+class TestNoStateVector:
+    """Every production command runs with the d^N state builders made to raise."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_state_vectors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a production path built the d^N state vector")
+
+        package = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphsteering"]
+        for module in package + [oracle]:
+            for attr in ("build_graph_state", "outcome_table"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["certify", "GRAPH", "--p", "0.1"],
+            ["certify", "CHAIN4_D3", "--partition", "1,2"],
+            ["fig4", "--d", "2,3", "--steps", "3"],
+            ["fig5", "--d", "2,3"],
+            ["qss", "--rounds", "2000"],
+            ["qss", "--rounds", "2000", "--disturbance", "0.05"],
+            ["qss", "--graph-file", "CHAIN4_D3", "--rounds", "2000", "--p", "0.1"],
+            ["verify"],
+        ],
+    )
+    def test_exits_0(self, runner, star3_file, tmp_path, args):
+        chain = tmp_path / "chain4d3.json"
+        chain.write_text('{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}')
+        files = {"GRAPH": star3_file, "CHAIN4_D3": str(chain)}
+        res = runner.invoke(main, [files.get(a, a) for a in args])
+        assert res.exit_code == 0, res.output
 
 
 @pytest.mark.parametrize(

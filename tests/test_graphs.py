@@ -10,6 +10,7 @@ from graphsteering import (
     Graph,
     NotTwoColorable,
     make_chain,
+    make_grid,
     make_star,
     parse_graph,
     two_color,
@@ -102,11 +103,22 @@ class TestGenerators:
             two_color(make_star(n))
             two_color(make_chain(n))
 
+    def test_grid_edges(self):
+        # 1 2 3
+        # 4 5 6
+        assert make_grid(2, 3).edges == frozenset(
+            {(1, 2), (2, 3), (4, 5), (5, 6), (1, 4), (2, 5), (3, 6)}
+        )
+        assert len(make_grid(30, 30).edges) == 2 * 30 * 29
+        two_color(make_grid(5, 4))
+
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             make_star(1)
         with pytest.raises(ValueError):
             make_chain(1)
+        with pytest.raises(ValueError):
+            make_grid(1, 1)
 
 
 class TestParseGraph:

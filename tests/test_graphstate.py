@@ -16,7 +16,7 @@ from graphsteering import (
     x_op,
     z_op,
 )
-from graphsteering import registers
+from graphsteering import graphstate, registers
 from graphsteering.graphstate import PauliWord, edge_phase_mask
 from graphsteering.registers import states_equal_up_to_phase
 
@@ -143,6 +143,14 @@ class TestStabilizers:
         fixed = word2.apply(psi)
         assert np.max(np.abs(fixed.amplitudes - psi.amplitudes)) < 1e-10
 
+    def test_words_need_no_state(self, monkeypatch):
+        # X_a Z_{N(a)} for every d: built from the edges alone, even past the register limit
+        monkeypatch.setattr(graphstate, "build_graph_state", None)
+        words = stabilizer_generators(make_star(64), 5)
+        assert words[0].x_exponents == (1,) + (0,) * 63
+        assert words[0].z_exponents == (0,) + (1,) * 63
+        assert words[5].z_exponents == (1,) + (0,) * 63
+
     def test_one_generator_per_vertex(self):
         for g in (make_star(5), make_chain(4)):
             assert len(stabilizer_generators(g, 3)) == g.n_vertices
@@ -174,5 +182,9 @@ class TestStabilizers:
 
         psi = random_state(QuditRegister(3, 3), rng)
         via_apply = word.apply(psi).amplitudes
-        via_matrix = word.matrix(3) @ psi.amplitudes
+        matrix = np.ones((1, 1), dtype=complex)
+        for x, z in zip(word.x_exponents, word.z_exponents):
+            factor = np.linalg.matrix_power(x_op(3), x) @ np.linalg.matrix_power(z_op(3), z)
+            matrix = np.kron(matrix, factor)
+        via_matrix = matrix @ psi.amplitudes
         np.testing.assert_allclose(via_apply, via_matrix, atol=1e-12)

@@ -75,6 +75,16 @@ class TestMutualInformation:
         with pytest.raises(ValueError):
             mutual_information(np.full(4, 0.25))
 
+    def test_invalid_table_rejected(self):
+        # the table is checked once, before its marginals are taken
+        for joint in ([[0.6, -0.1], [0.25, 0.25]], [[0.5, 0.1], [0.1, 0.5]]):
+            with pytest.raises(ValueError):
+                mutual_information(np.array(joint))
+
+    def test_round_off_negatives_clipped(self):
+        joint = np.array([[0.5, -1e-17], [1e-17, 0.5]])
+        assert abs(mutual_information(joint) - 1.0) < 1e-12
+
 
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):

@@ -21,7 +21,6 @@ from graphsteering.steering import (
     noise_threshold,
     steering_statistic,
 )
-from graphsteering.graphstate import build_graph_state
 
 
 def star3_config(**kwargs):
@@ -154,13 +153,12 @@ class TestEstimateRates:
         g = make_star(3)
         part = Bipartition.from_side_a(g, {1})
         settings = derive_both_settings(g, 2, part)
-        psi = build_graph_state(g, 2)
         for p in (0.0, 0.1):
             cfg = ProtocolConfig(
                 graph=g, d=2, part=part, noise_p=p, rounds=1_000_000, seed=17
             )
             est = estimate_rates(run_protocol(cfg), 2)
-            analytic = steering_statistic(psi, settings, part, p).i_total
+            analytic = steering_statistic(g, 2, settings, part, p).i_total
             assert abs(est.i_hat_total - analytic) < 0.01
 
     def test_not_steerable_above_threshold(self):

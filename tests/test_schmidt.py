@@ -20,15 +20,18 @@ from graphsteering import (
     fourier_op,
     joint_distribution,
     make_chain,
+    make_grid,
     make_star,
-    outcome_table,
     random_state,
     schmidt_decompose,
+    stabilizer_table,
     two_color,
     white_noise,
 )
+from graphsteering import schmidt
 from graphsteering.registers import permute_qudits, states_equal_up_to_phase
-from graphsteering.schmidt import COMPUTATIONAL, FOURIER, side_order
+from graphsteering.schmidt import COMPUTATIONAL, FOURIER, characteristic_table, side_order
+from oracle import outcome_table
 
 
 def settings_for(g, d, side_a):
@@ -316,14 +319,6 @@ class TestPinnedExactRegression:
             assert a == b
 
 
-def make_grid(rows, cols):
-    """rows x cols square lattice, vertices numbered row by row from 1."""
-    label = lambda r, c: r * cols + c + 1
-    edges = {(label(r, c), label(r + 1, c)) for r in range(rows - 1) for c in range(cols)}
-    edges |= {(label(r, c), label(r, c + 1)) for r in range(rows) for c in range(cols - 1)}
-    return Graph(rows * cols, frozenset(edges))
-
-
 def oracle_gap(g, d, part, noise_levels):
     """Largest |outcome_table - dense oracle| over every setting pair and noise level."""
     settings = derive_both_settings(g, d, part)
@@ -401,6 +396,115 @@ class TestOutcomeTable:
                 outcome_table(build_graph_state(g, 2), settings[0], settings[0], part, p)
 
 
+def draw_bipartite_graph(data, max_n):
+    """A random two-colorable graph on 2..max_n vertices; it may be disconnected."""
+    n = data.draw(st.integers(2, max_n), label="n")
+    colors = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="colors")
+    pairs = [
+        (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        if colors[i - 1] != colors[j - 1]
+    ]
+    edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges") if pairs else set()
+    return Graph(n, frozenset(edges))
+
+
+def draw_cut(data, g):
+    side_a = data.draw(
+        st.sets(st.integers(1, g.n_vertices), min_size=1, max_size=g.n_vertices - 1),
+        label="side_a",
+    )
+    return Bipartition.from_side_a(g, side_a)
+
+
+def draw_setting(data, d, part):
+    """Any local bases and surjective forms: the closed form needs no stabilizer origin."""
+    sides = (tuple(sorted(part.side_a)), tuple(sorted(part.side_b)))
+    bases = {
+        v: data.draw(st.sampled_from([COMPUTATIONAL, FOURIER]), label=f"basis {v}")
+        for v in sides[0] + sides[1]
+    }
+    forms = []
+    for side in sides:
+        coeffs = data.draw(
+            st.lists(st.integers(0, d - 1), min_size=len(side), max_size=len(side)), label="form"
+        )
+        if math.gcd(*coeffs, d) != 1:
+            coeffs[0] = 1
+        forms.append(tuple(coeffs))
+    return MeasurementSetting(0, bases, *sides, *forms)
+
+
+# Largest N per d that keeps the oracle's d^N state below 10^4 amplitudes.
+ORACLE_MAX_N = {2: 9, 3: 7, 4: 6, 5: 5, 6: 5}
+
+
+class TestStabilizerTable:
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_state_vector_oracle(self, data):
+        d = data.draw(st.sampled_from(sorted(ORACLE_MAX_N)), label="d")
+        g = draw_bipartite_graph(data, ORACLE_MAX_N[d])
+        part = draw_cut(data, g)
+        p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0)), label="p")
+        try:
+            settings = list(derive_both_settings(g, d, part))
+        except NoCorrelationForm:
+            settings = []
+        settings.append(draw_setting(data, d, part))
+        psi = build_graph_state(g, d)
+        for sa in settings:
+            for sb in settings:
+                fast = stabilizer_table(g, d, sa, sb, part, p)
+                assert np.max(np.abs(fast - outcome_table(psi, sa, sb, part, p))) < 1e-12
+
+    def test_ideal_tables_beyond_state_vector_sizes(self):
+        for g, d, side_a in ((make_star(1000), 3, {1}), (make_chain(60), 2, {30})):
+            part = Bipartition.from_side_a(g, side_a)
+            for s in derive_both_settings(g, d, part):
+                np.testing.assert_allclose(
+                    stabilizer_table(g, d, s, s, part), np.eye(d) / d, atol=1e-12
+                )
+
+    def test_round_off_clipped_at_zero(self):
+        # the raw DFT leaves entries near -9e-18 here, which the protocol's sampler refuses
+        g = make_star(4)
+        part, settings = settings_for(g, 5, {3, 4})
+        raw = np.fft.fft2(characteristic_table(g, 5, settings[0], settings[0], part)).real / 25
+        assert raw.min() < 0
+        table = stabilizer_table(g, 5, settings[0], settings[0], part)
+        assert table.min() >= 0
+        np.testing.assert_allclose(table, np.eye(5) / 5, atol=1e-12)
+
+    def test_negative_entry_rejected(self, monkeypatch):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        bad = np.array([[0.6, -0.1], [0.25, 0.25]])
+        monkeypatch.setattr(schmidt, "characteristic_table", lambda *args: np.fft.ifft2(bad) * 4)
+        with pytest.raises(ValueError, match="below -1e-12"):
+            stabilizer_table(g, 2, settings[0], settings[0], part)
+
+    def test_bipartition_mismatch_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        other = Bipartition.from_side_a(g, {1, 2})
+        with pytest.raises(ValueError, match="bipartition"):
+            stabilizer_table(g, 2, settings[0], settings[0], other)
+
+    def test_non_surjective_form_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        broken = dataclasses.replace(settings[0], fa_coeffs=(0,))
+        with pytest.raises(ValueError, match="surjective"):
+            stabilizer_table(g, 2, broken, settings[0], part)
+
+    def test_noise_out_of_range_rejected(self):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        for p in (-0.01, 1.01):
+            with pytest.raises(ValueError, match="noise"):
+                stabilizer_table(g, 2, settings[0], settings[0], part, p)
+
+
 def exhaustive_forms(g, d, coloring, part, m):
     """Reference search: every one of the d^k exponent vectors, canonical minimum kept.
 
@@ -445,18 +549,8 @@ class TestSearchMatchesExhaustive:
     @given(data=st.data())
     def test_random_bipartite_graphs(self, data):
         d = data.draw(st.sampled_from(sorted(EXHAUSTIVE_MAX_N)), label="d")
-        n = data.draw(st.integers(2, EXHAUSTIVE_MAX_N[d]), label="n")
-        colors = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="colors")
-        pairs = [
-            (i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)
-            if colors[i - 1] != colors[j - 1]
-        ]
-        edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges") if pairs else set()
-        side_a = data.draw(
-            st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="side_a"
-        )
-        g = Graph(n, frozenset(edges))
-        part = Bipartition.from_side_a(g, side_a)
+        g = draw_bipartite_graph(data, EXHAUSTIVE_MAX_N[d])
+        part = draw_cut(data, g)
         coloring = two_color(g)
         for m in (1, 2):
             try:

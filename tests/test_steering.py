@@ -18,7 +18,7 @@ from graphsteering import (
     white_noise,
 )
 from graphsteering import steering
-from graphsteering.steering import state_and_settings
+from graphsteering.steering import checked_settings
 
 
 def binary_search_root(f, lo, hi, tol=1e-12):
@@ -75,7 +75,7 @@ class TestSteeringStatistic:
             g = make_star(3)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            report = steering_statistic(build_graph_state(g, d), settings, part)
+            report = steering_statistic(g, d, settings, part)
             assert abs(report.i_total - 2 * np.log2(d)) < 1e-9
             assert report.steerable
             for i_m in report.i_per_setting:
@@ -88,8 +88,7 @@ class TestSteeringStatistic:
             g = make_star(n)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            psi = build_graph_state(g, d)
-            values.append(steering_statistic(psi, settings, part, 0.15).i_total)
+            values.append(steering_statistic(g, d, settings, part, 0.15).i_total)
         assert max(values) - min(values) < 1e-9
 
     def test_matches_closed_form_under_noise(self):
@@ -97,9 +96,8 @@ class TestSteeringStatistic:
             g = make_chain(3)
             part = Bipartition.from_side_a(g, {1})
             settings = derive_both_settings(g, d, part)
-            psi = build_graph_state(g, d)
             for p in (0.05, 0.2, 0.6):
-                report = steering_statistic(psi, settings, part, p)
+                report = steering_statistic(g, d, settings, part, p)
                 expected = noisy_excess(p, d) + np.log2(d)
                 assert abs(report.i_total - expected) < 1e-9
 
@@ -107,7 +105,7 @@ class TestSteeringStatistic:
         g = make_star(3)
         part = Bipartition.from_side_a(g, {1})
         settings = derive_both_settings(g, 2, part)
-        report = steering_statistic(build_graph_state(g, 2), settings, part, 1.0)
+        report = steering_statistic(g, 2, settings, part, 1.0)
         assert not report.steerable
         assert abs(report.i_total) < 1e-9
 
@@ -117,7 +115,7 @@ class TestSteeringStatistic:
         settings = derive_both_settings(g, 2, part)
         for p in (-0.01, 1.01):
             with pytest.raises(ValueError):
-                steering_statistic(build_graph_state(g, 2), settings, part, p)
+                steering_statistic(g, 2, settings, part, p)
 
 
 class TestNoiseThreshold:
@@ -192,18 +190,17 @@ def _must_not_run(*args):
     raise AssertionError("called after the input should have been refused")
 
 
-class TestStateAndSettings:
-    def test_odd_cycle_refused_before_state_build(self, monkeypatch):
-        monkeypatch.setattr(steering, "build_graph_state", _must_not_run)
+class TestCheckedSettings:
+    def test_odd_cycle_refused(self):
         g = Graph(21, frozenset((k, k % 21 + 1) for k in range(1, 22)))
         with pytest.raises(NotTwoColorable):
-            state_and_settings(g, 2, Bipartition.from_side_a(g, {1}))
+            checked_settings(g, 2, Bipartition.from_side_a(g, {1}))
 
     def test_oversized_register_refused_before_setting_search(self, monkeypatch):
         monkeypatch.setattr(steering, "derive_both_settings", _must_not_run)
         g = make_star(64)
         with pytest.raises(RegisterTooLarge):
-            state_and_settings(g, 2, Bipartition.from_side_a(g, {1}))
+            checked_settings(g, 2, Bipartition.from_side_a(g, {1}))
 
 
 class TestDisturbanceEntropy:
