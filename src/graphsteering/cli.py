@@ -38,6 +38,12 @@ EXIT_INVARIANT = 1
 EXIT_VALIDATION = 2
 EXIT_DERIVATION = 3
 
+# Peak memory per unit of a command-line size, measured as the ru_maxrss slope
+# (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 42 bytes a
+# round from 2^18 to 2^21 rounds, `fig4` by 270-310 bytes an output row.
+QSS_BYTES_PER_ROUND = 48
+FIG4_BYTES_PER_ROW = 320
+
 
 def _manifest(command: str, params: dict, seed=None) -> dict:
     return {
@@ -91,10 +97,10 @@ def _refuse(reason: str, code: int = EXIT_VALIDATION):
 
 
 def _bound(option: str, value: int, n_bytes: int) -> None:
-    """Refuse an option value whose array of ``n_bytes`` bytes exceeds MAX_STATE_BYTES."""
+    """Refuse an option value that needs more than MAX_STATE_BYTES (``n_bytes``) of memory."""
     if n_bytes > MAX_STATE_BYTES:
         _refuse(
-            f"{option} {value} needs a {n_bytes}-byte array, "
+            f"{option} {value} needs about {n_bytes} bytes, "
             f"over the {MAX_STATE_BYTES}-byte limit"
         )
 
@@ -195,7 +201,7 @@ def fig4(d_list, n, p_max, steps, out):
     dims = _parse_d_list(d_list)
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
         _refuse("bad ranges")
-    _bound("--steps", steps, 8 * steps)  # the float64 noise grid
+    _bound("--steps", steps, FIG4_BYTES_PER_ROW * steps * len(dims))
     grid = np.linspace(0.0, p_max, steps)
     rows = []
     deviation = 0.0
@@ -277,7 +283,7 @@ def nosharing(d, samples, seed, out):
 @click.option("--out", default=None, type=click.Path(), help="Transcript JSONL file.")
 def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     """Run the secret-sharing protocol simulation and report rate estimates."""
-    _bound("--rounds", rounds, 8 * rounds)  # each int64 per-round column
+    _bound("--rounds", rounds, QSS_BYTES_PER_ROUND * rounds)
     if graph_file is not None:
         g, d = _load_graph(graph_file)
     else:

@@ -76,7 +76,17 @@ def two_color(g: Graph) -> TwoColoring:
     """Deterministic BFS two-coloring; lowest-indexed root of each component gets 0.
 
     Raises NotTwoColorable with one odd cycle if the graph is not bipartite.
+    Each vertex's neighbours are visited in increasing order; the adjacency
+    lists are built once, in O(N + |E|).
     """
+    unordered = [[] for _ in range(g.n_vertices + 1)]
+    for i, j in g.edges:
+        unordered[i].append(j)
+        unordered[j].append(i)
+    adjacency = [[] for _ in range(g.n_vertices + 1)]
+    for v in range(1, g.n_vertices + 1):  # v ascending, so every list comes out sorted
+        for w in unordered[v]:
+            adjacency[w].append(v)
     colors: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for root in range(1, g.n_vertices + 1):
@@ -87,7 +97,7 @@ def two_color(g: Graph) -> TwoColoring:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in sorted(g.neighbors(v)):
+            for w in adjacency[v]:
                 if w not in colors:
                     colors[w] = 1 - colors[v]
                     parent[w] = v

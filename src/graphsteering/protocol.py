@@ -47,6 +47,14 @@ class ProtocolConfig:
                 raise ValueError(f"cloner disturbance must be in [0, {upper}]")
 
 
+JSONL_CHUNK_ROWS = 4096
+_KEYS = [
+    np.frombuffer(text, dtype=np.uint8)
+    for text in (b'{"round": ', b', "ma": ', b', "mb": ', b', "a": ', b', "b": ', b', "sifted": ')
+]
+_ENDS = np.frombuffer(b"false}\n true}\n", dtype=np.uint8).reshape(2, -1)  # indexed by sifted
+
+
 @dataclass(frozen=True, eq=False)
 class Transcript:
     setting_a: np.ndarray
@@ -59,18 +67,51 @@ class Transcript:
     def sifted_counts(self, m: int) -> np.ndarray:
         """d x d table of sifted (a, b) counts for setting m."""
         mask = self.sifted & (self.setting_a == m)
-        counts = np.zeros((self.d, self.d), dtype=np.int64)
-        np.add.at(counts, (self.outcome_a[mask], self.outcome_b[mask]), 1)
-        return counts
+        flat = self.outcome_a[mask] * self.d + self.outcome_b[mask]
+        return np.bincount(flat, minlength=self.d * self.d).reshape(self.d, self.d)
 
     def to_jsonl(self, stream) -> None:
-        """One JSON record per round, in ``json.dumps`` layout."""
-        columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b, self.sifted)
-        stream.writelines(
-            f'{{"round": {k}, "ma": {ma}, "mb": {mb}, "a": {a}, "b": {b}, '
-            f'"sifted": {"true" if s else "false"}}}\n'
-            for k, (ma, mb, a, b, s) in enumerate(zip(*(c.tolist() for c in columns)))
-        )
+        """One JSON record per round, in ``json.dumps`` layout, one ``stream.write`` per chunk.
+
+        A chunk holds at most ``JSONL_CHUNK_ROWS`` rounds and ends where the
+        round number gains a digit.
+        """
+        columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
+        start, rounds = 0, len(self.sifted)
+        while start < rounds:
+            stop = min(start + JSONL_CHUNK_ROWS, rounds, 10 ** len(str(start)))
+            stream.write(_jsonl_rows(start, [c[start:stop] for c in columns], self.sifted[start:stop]))
+            start = stop
+
+
+def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray) -> str:
+    """The records of rounds ``first_round, ...``, whose round numbers share one width.
+
+    Each row of a byte matrix holds one record with every integer at the
+    widest width of its field in the chunk, digits right-aligned; one boolean
+    mask then drops the unused leading digit cells and the cell before
+    ``true}``.
+    """
+    values = [np.arange(first_round, first_round + len(sifted)), *columns]
+    widths = [len(str(int(v.max()))) for v in values]
+    template = np.concatenate(
+        [np.concatenate([key, np.zeros(width, np.uint8)]) for key, width in zip(_KEYS, widths)]
+        + [_KEYS[-1], _ENDS[0]]
+    )
+    rows = np.tile(template, (len(sifted), 1))
+    keep = np.ones(rows.shape, dtype=bool)
+    col = 0
+    for field, (key, v, width) in enumerate(zip(_KEYS, values, widths)):
+        col += len(key)
+        for power in range(width - 1, -1, -1):
+            rows[:, col] = v // 10 ** power % 10 + ord("0")
+            if power and field:  # field 0, the round number, has the same width on every row
+                keep[:, col] = v >= 10 ** power
+            col += 1
+    col += len(_KEYS[-1])
+    rows[:, col:] = _ENDS[sifted.view(np.uint8)]
+    keep[:, col] = ~sifted
+    return rows[keep].tobytes().decode("ascii")
 
 
 @dataclass(frozen=True)

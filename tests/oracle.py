@@ -1,7 +1,16 @@
-"""State-vector oracle for the closed-form outcome tables (16 d^N bytes: small N only)."""
+"""Slow references for the fast production paths.
+
+The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
+small N only), the edge-scanning two-coloring and the per-record transcript
+writer.
+"""
+
+import json
+from collections import deque
 
 import numpy as np
 
+from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
 from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
 
 
@@ -47,3 +56,33 @@ def outcome_table(psi, setting_a, setting_b, part, p: float = 0.0) -> np.ndarray
     if abs(table.sum() - 1.0) > 1e-10:
         raise ValueError(f"joint distribution sums to {table.sum()}")
     return mix_white_noise(table.reshape(d, d), p)
+
+
+def edge_scan_two_color(g) -> TwoColoring:
+    """BFS two-coloring that finds each vertex's neighbours by scanning every edge."""
+    colors, parent = {}, {}
+    for root in range(1, g.n_vertices + 1):
+        if root in colors:
+            continue
+        colors[root] = 0
+        parent[root] = None
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for w in sorted(g.neighbors(v)):
+                if w not in colors:
+                    colors[w] = 1 - colors[v]
+                    parent[w] = v
+                    queue.append(w)
+                elif colors[w] == colors[v]:
+                    raise NotTwoColorable(_odd_cycle(parent, v, w))
+    return TwoColoring(colors)
+
+
+def jsonl_by_record(t) -> str:
+    """The transcript as ``json.dumps`` of one dict per round."""
+    columns = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.sifted)
+    return "".join(
+        json.dumps({"round": k, "ma": ma, "mb": mb, "a": a, "b": b, "sifted": s}) + "\n"
+        for k, (ma, mb, a, b, s) in enumerate(zip(*(c.tolist() for c in columns)))
+    )

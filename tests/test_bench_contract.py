@@ -3,7 +3,10 @@
 import functools
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from graphsteering import Bipartition, ProtocolConfig, Transcript, make_star, run_protocol
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -26,3 +29,18 @@ def test_every_tracing_target_resolves():
             continue
         assert callable(target), span
     assert not missing, missing
+
+
+def test_traced_transcript_bytes_match_file(tmp_path):
+    # the benchmark counts a transcript's bytes with tell() around to_jsonl(transcript, stream)
+    assert list(inspect.signature(Transcript.to_jsonl).parameters) == ["self", "stream"]
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    traced = tracer.wrap_to_jsonl(Transcript.to_jsonl)
+    g = make_star(3)
+    t = run_protocol(ProtocolConfig(g, 2, Bipartition.from_side_a(g, {1}), rounds=30_000, seed=7))
+    path = tmp_path / "t.jsonl"
+    with open(path, "w") as handle:
+        traced(t, handle)
+    (span,) = tracer.spans
+    assert span[tracing.ATTRS]["bytes"] == path.stat().st_size > 0

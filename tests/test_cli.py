@@ -1,13 +1,28 @@
+import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import oracle
-from graphsteering import graphstate
-from graphsteering.cli import main
+from graphsteering import cli, graphstate
+from graphsteering.cli import FIG4_BYTES_PER_ROW, QSS_BYTES_PER_ROUND, main
+from graphsteering.registers import MAX_STATE_BYTES
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+class Reached(Exception):
+    """Raised by a patched stage to show that a command got past its size bound."""
+
+
+def reached(*args, **kwargs):
+    raise Reached
 
 
 @pytest.fixture
@@ -202,6 +217,18 @@ class TestFig4:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --steps")
 
+    @pytest.mark.parametrize("d_list", ["2", "2,3,5"])
+    def test_steps_bound_at_boundary(self, runner, monkeypatch, d_list):
+        # steps x dimensions output rows, FIG4_BYTES_PER_ROW each, fit in MAX_STATE_BYTES
+        monkeypatch.setattr(cli, "key_rate_scan", reached)
+        dims = len(d_list.split(","))
+        largest = MAX_STATE_BYTES // (FIG4_BYTES_PER_ROW * dims)
+        res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest)])
+        assert isinstance(res.exception, Reached)
+        res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest + 1)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --steps")
+
     def test_bad_ranges_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--n", "1"])
         assert res.exit_code == 2
@@ -346,6 +373,56 @@ class TestQss:
         res = runner.invoke(main, ["qss", "--rounds", "10000000000"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --rounds")
+
+    def test_rounds_bound_at_boundary(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "run_protocol", reached)
+        largest = MAX_STATE_BYTES // QSS_BYTES_PER_ROUND
+        res = runner.invoke(main, ["qss", "--rounds", str(largest)])
+        assert isinstance(res.exception, Reached)
+        res = runner.invoke(main, ["qss", "--rounds", str(largest + 1)])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --rounds")
+
+    def test_measured_peak_per_round_within_bound(self, tmp_path):
+        # the ru_maxrss slope of `qss --out` between two round counts
+        script = (
+            "import resource, sys\n"
+            "from graphsteering.cli import main\n"
+            "try:\n"
+            "    main(sys.argv[1:])\n"
+            "finally:\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": SRC}
+        peaks = {}
+        for rounds in (2 ** 18, 2 ** 20):
+            out = tmp_path / f"{rounds}.jsonl"
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "qss", "--p", "0.05", "--rounds", str(rounds), "--out", str(out)],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            peaks[rounds] = int(proc.stderr.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+            out.unlink()
+        slope = (peaks[2 ** 20] - peaks[2 ** 18]) / (2 ** 20 - 2 ** 18)
+        assert slope <= QSS_BYTES_PER_ROUND
+
+    @pytest.mark.parametrize(
+        "graph, digest",
+        [
+            (None, "89840360abf7fd61b27ec3a7606e7cf737cceadf7e0b13763bdff0c222af3a2a"),
+            (
+                '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
+                "9273bdb5f62ead2c0735383fdc91eabf9ea7165f7bf6dc0acf67fe0624ab9b0b",
+            ),
+        ],
+    )
+    def test_pinned_transcript_sha256(self, runner, tmp_path, graph, digest):
+        args = ["qss", "--seed", "7", "--rounds", "30000", "--out", str(tmp_path / "t.jsonl")]
+        if graph is not None:
+            (tmp_path / "g.json").write_text(graph)
+            args += ["--graph-file", str(tmp_path / "g.json")]
+        assert runner.invoke(main, args).exit_code == 0
+        assert hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("d", [1000, 10 ** 6])
     def test_oversized_cloner_register_exit_2(self, runner, tmp_path, d):

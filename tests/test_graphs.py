@@ -15,6 +15,7 @@ from graphsteering import (
     parse_graph,
     two_color,
 )
+from oracle import edge_scan_two_color
 
 
 def coloring_valid(g, coloring):
@@ -85,6 +86,28 @@ class TestTwoColor:
                 assert brute_force_two_colorable(g)
             except NotTwoColorable:
                 assert not brute_force_two_colorable(g)
+
+
+    @hyp_settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_edge_scan_oracle(self, data):
+        # same colors, or the same odd cycle raised, as the edge-scanning BFS
+        n = data.draw(st.integers(1, 14))
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=20)) if pairs else [])
+        if n >= 3 and data.draw(st.booleans()):
+            length = data.draw(st.sampled_from([k for k in range(3, n + 1) if k % 2]))
+            cycle = data.draw(st.permutations(range(1, n + 1)))[:length]
+            edges |= {tuple(sorted(e)) for e in zip(cycle, cycle[1:] + cycle[:1])}
+        g = Graph(n, frozenset(edges))
+        try:
+            expected = edge_scan_two_color(g)
+        except NotTwoColorable as exc:
+            with pytest.raises(NotTwoColorable) as err:
+                two_color(g)
+            assert err.value.cycle == exc.cycle
+        else:
+            assert two_color(g).colors == expected.colors
 
 
 class TestGenerators:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
+from oracle import jsonl_by_record
 
 from graphsteering import (
     Bipartition,
@@ -15,7 +16,7 @@ from graphsteering import (
     make_star,
     run_protocol,
 )
-from graphsteering.protocol import setting_pair_tables
+from graphsteering.protocol import JSONL_CHUNK_ROWS, setting_pair_tables
 from graphsteering.steering import (
     derive_both_settings,
     noise_threshold,
@@ -211,15 +212,69 @@ class TestTranscriptExport:
             assert rec["ma"] == int(t.setting_a[k])
 
     def test_counts_consistent_with_records(self):
-        t = run_protocol(star3_config(rounds=3000, seed=13, noise_p=0.2))
-        for m in (1, 2):
-            counts = t.sifted_counts(m)
-            mask = t.sifted & (t.setting_a == m)
-            assert counts.sum() == int(mask.sum())
-            manual = np.zeros((2, 2), dtype=int)
-            for a, b in zip(t.outcome_a[mask], t.outcome_b[mask]):
-                manual[a, b] += 1
-            np.testing.assert_array_equal(counts, manual)
+        chain = make_chain(4)
+        for cfg in (
+            star3_config(rounds=3000, seed=13, noise_p=0.2),
+            ProtocolConfig(
+                graph=chain, d=3, part=Bipartition.from_side_a(chain, {1}),
+                noise_p=0.2, rounds=3000, seed=13,
+            ),
+        ):
+            t = run_protocol(cfg)
+            for m in (1, 2):
+                counts = t.sifted_counts(m)
+                mask = t.sifted & (t.setting_a == m)
+                assert counts.sum() == int(mask.sum())
+                manual = np.zeros((cfg.d, cfg.d), dtype=int)
+                for a, b in zip(t.outcome_a[mask], t.outcome_b[mask]):
+                    manual[a, b] += 1
+                np.testing.assert_array_equal(counts, manual)
+
+    @hyp_settings(max_examples=60, deadline=None)
+    @given(
+        d=st.sampled_from([*range(2, 13), 100, 4096]),
+        rounds=st.one_of(
+            st.integers(1, 120),
+            st.integers(990, 1010),
+            st.integers(9990, 10010),
+            st.sampled_from([JSONL_CHUNK_ROWS * k + o for k in (1, 2, 3) for o in (-1, 0, 1)]),
+        ),
+        seed=st.integers(0, 2 ** 32 - 1),
+    )
+    def test_matches_record_writer(self, d, rounds, seed):
+        rng = np.random.default_rng(seed)
+        ma, mb = rng.integers(1, 3, size=(2, rounds))
+        # outcomes drawn from a random range, so some chunks hold only short numbers
+        top = int(rng.integers(1, d + 1))
+        a, b = rng.integers(0, top, size=(2, rounds))
+        t = Transcript(setting_a=ma, setting_b=mb, outcome_a=a, outcome_b=b, sifted=ma == mb, d=d)
+        buf = io.StringIO()
+        t.to_jsonl(buf)
+        assert buf.getvalue() == jsonl_by_record(t)
+
+    def test_zero_rounds_write_nothing(self):
+        empty = np.zeros(0, dtype=np.int64)
+        t = Transcript(empty, empty, empty, empty, np.zeros(0, dtype=bool), d=2)
+        buf = io.StringIO()
+        t.to_jsonl(buf)
+        assert buf.getvalue() == ""
+
+    def test_one_str_write_per_chunk(self):
+        class Stream:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                assert isinstance(text, str)
+                self.writes.append(text)
+
+        t = run_protocol(star3_config(rounds=3 * JSONL_CHUNK_ROWS, seed=4))
+        stream = Stream()
+        t.to_jsonl(stream)
+        # rounds 0-9, 10-99, 100-999, 1000-9999 (split at the chunk size), 10000-12287
+        sizes = [text.count("\n") for text in stream.writes]
+        assert sizes == [10, 90, 900, 4096, 4096, 808, 2288]
+        assert "".join(stream.writes) == jsonl_by_record(t)
 
 
 class TestHigherDimension:
