@@ -39,9 +39,11 @@ EXIT_VALIDATION = 2
 EXIT_DERIVATION = 3
 
 # Peak memory per unit of a command-line size, measured as the ru_maxrss slope
-# (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 42 bytes a
-# round from 2^18 to 2^21 rounds, `fig4` by 270-310 bytes an output row.
-QSS_BYTES_PER_ROUND = 48
+# (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 16 bytes a
+# round from 2^18 to 2^21 rounds at d=2 (at most 18.5 between doublings) and by
+# 20-21 at d=257, whose outcomes take two bytes; `fig4` by 270-310 bytes an
+# output row.
+QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 320
 
 

@@ -67,7 +67,7 @@ class Transcript:
     def sifted_counts(self, m: int) -> np.ndarray:
         """d x d table of sifted (a, b) counts for setting m."""
         mask = self.sifted & (self.setting_a == m)
-        flat = self.outcome_a[mask] * self.d + self.outcome_b[mask]
+        flat = self.outcome_a[mask].astype(np.intp) * self.d + self.outcome_b[mask]
         return np.bincount(flat, minlength=self.d * self.d).reshape(self.d, self.d)
 
     def to_jsonl(self, stream) -> None:
@@ -145,13 +145,19 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
-    """Simulate all rounds; deterministic for a fixed config (including seed)."""
+    """Simulate all rounds; deterministic for a fixed config (including seed).
+
+    Settings and outcomes are stored in the narrowest unsigned type that holds
+    2 and d - 1; the draws themselves are made as before, so the random
+    stream, and hence the transcript, does not depend on that type.
+    """
     tables = setting_pair_tables(cfg)
     rng = np.random.default_rng(cfg.seed)
-    ma = rng.integers(1, 3, size=cfg.rounds)
-    mb = rng.integers(1, 3, size=cfg.rounds)
-    a_out = np.zeros(cfg.rounds, dtype=np.int64)
-    b_out = np.zeros(cfg.rounds, dtype=np.int64)
+    column = np.min_scalar_type(max(2, cfg.d - 1))
+    ma = rng.integers(1, 3, size=cfg.rounds).astype(column)
+    mb = rng.integers(1, 3, size=cfg.rounds).astype(column)
+    a_out = np.zeros(cfg.rounds, dtype=column)
+    b_out = np.zeros(cfg.rounds, dtype=column)
     for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
         mask = (ma == pair[0]) & (mb == pair[1])
         count = int(mask.sum())

@@ -91,7 +91,13 @@ def check_stabilizers():
 def check_ideal_correlations():
     """Diagonal closed-form tables with i_total = 2 log2 d, also where no state vector fits."""
     cases = [(g, d, {1}) for d in (2, 3) for g in (make_star(3), make_chain(4))]
-    for g, d, side_a in cases + [(make_star(1000), 3, {1}), (make_grid(12, 12), 2, {1, 12})]:
+    large = [
+        (make_star(1000), 3, {1}),
+        (make_grid(12, 12), 2, {1, 12}),
+        (make_grid(30, 30), 2, {1, 30}),
+        (make_chain(1000), 3, {500}),
+    ]
+    for g, d, side_a in cases + large:
         part = Bipartition.from_side_a(g, side_a)
         tables = [stabilizer_table(g, d, s, s, part) for s in derive_both_settings(g, d, part)]
         assert all(np.max(np.abs(t - np.eye(d) / d)) < 1e-10 for t in tables)

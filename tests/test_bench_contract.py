@@ -6,7 +6,15 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from graphsteering import Bipartition, ProtocolConfig, Transcript, make_star, run_protocol
+from graphsteering import (
+    Bipartition,
+    ProtocolConfig,
+    Transcript,
+    make_star,
+    run_protocol,
+    schmidt,
+    two_color,
+)
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -44,3 +52,19 @@ def test_traced_transcript_bytes_match_file(tmp_path):
         traced(t, handle)
     (span,) = tracer.spans
     assert span[tracing.ATTRS]["bytes"] == path.stat().st_size > 0
+
+
+def test_traced_setting_search_accepts_its_arguments():
+    # the span sizes a derive_setting call by passing its arguments to _fourier_candidates
+    tracing = load_tracing()
+    params = list(inspect.signature(schmidt.derive_setting).parameters)
+    inspect.signature(tracing._fourier_candidates).bind(*params)
+    tracer = tracing.Tracer()
+    traced = tracer.wrap("schmidt.derive_setting", schmidt.derive_setting, tracing._fourier_candidates)
+    g = make_star(4)
+    part = Bipartition.from_side_a(g, {1})
+    coloring = two_color(g)
+    for m in (1, 2):
+        assert traced(g, 3, coloring, part, m) == schmidt.derive_setting(g, 3, coloring, part, m)
+    # setting 1 measures the three leaves in the Fourier basis, setting 2 the centre
+    assert [span[tracing.ATTRS]["candidates"] for span in tracer.spans] == [3 ** 3 - 1, 3 - 1]

@@ -240,13 +240,16 @@ class TestTranscriptExport:
             st.sampled_from([JSONL_CHUNK_ROWS * k + o for k in (1, 2, 3) for o in (-1, 0, 1)]),
         ),
         seed=st.integers(0, 2 ** 32 - 1),
+        narrow=st.booleans(),
     )
-    def test_matches_record_writer(self, d, rounds, seed):
+    def test_matches_record_writer(self, d, rounds, seed, narrow):
         rng = np.random.default_rng(seed)
         ma, mb = rng.integers(1, 3, size=(2, rounds))
         # outcomes drawn from a random range, so some chunks hold only short numbers
         top = int(rng.integers(1, d + 1))
         a, b = rng.integers(0, top, size=(2, rounds))
+        if narrow:  # the column type run_protocol stores
+            ma, mb, a, b = (c.astype(np.min_scalar_type(max(2, d - 1))) for c in (ma, mb, a, b))
         t = Transcript(setting_a=ma, setting_b=mb, outcome_a=a, outcome_b=b, sifted=ma == mb, d=d)
         buf = io.StringIO()
         t.to_jsonl(buf)
@@ -285,3 +288,17 @@ class TestHigherDimension:
         est = estimate_rates(run_protocol(cfg), 3)
         assert abs(est.i_hat_total - 2 * np.log2(3)) < 0.03
         assert est.steerable_hat
+
+    def test_one_byte_columns_counted_without_overflow(self):
+        # d=17 keeps every column in uint8, where a*d + b would wrap past 255
+        g = make_chain(2)
+        cfg = ProtocolConfig(graph=g, d=17, part=Bipartition.from_side_a(g, {1}), noise_p=0.5,
+                             rounds=20_000, seed=3)
+        t = run_protocol(cfg)
+        for column in (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b):
+            assert column.dtype == np.uint8
+        for m in (1, 2):
+            mask = t.sifted & (t.setting_a == m)
+            manual = np.zeros((17, 17), dtype=int)
+            np.add.at(manual, (t.outcome_a[mask].astype(int), t.outcome_b[mask].astype(int)), 1)
+            np.testing.assert_array_equal(t.sifted_counts(m), manual)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from graphsteering import (
     make_chain,
     make_grid,
     make_star,
+    mutual_information,
     random_state,
     schmidt_decompose,
     stabilizer_table,
@@ -544,23 +546,100 @@ def exhaustive_forms(g, d, coloring, part, m):
 EXHAUSTIVE_MAX_N = {2: 9, 3: 8, 4: 6, 5: 5, 6: 5}
 
 
+def assert_matches_exhaustive(g, d, part):
+    coloring = two_color(g)
+    for m in (1, 2):
+        try:
+            expected = exhaustive_forms(g, d, coloring, part, m)
+        except NoCorrelationForm:
+            with pytest.raises(NoCorrelationForm):
+                derive_setting(g, d, coloring, part, m)
+            continue
+        s = derive_setting(g, d, coloring, part, m)
+        assert (s.fa_coeffs, s.fb_coeffs) == expected
+
+
 class TestSearchMatchesExhaustive:
     @hyp_settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_random_bipartite_graphs(self, data):
         d = data.draw(st.sampled_from(sorted(EXHAUSTIVE_MAX_N)), label="d")
         g = draw_bipartite_graph(data, EXHAUSTIVE_MAX_N[d])
-        part = draw_cut(data, g)
+        assert_matches_exhaustive(g, d, draw_cut(data, g))
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_isolated_vertices_on_both_sides(self, data):
+        # the last two vertices have no edge; n - 1 is on side A and n on side B
+        d = data.draw(st.sampled_from(sorted(EXHAUSTIVE_MAX_N)), label="d")
+        core = draw_bipartite_graph(data, EXHAUSTIVE_MAX_N[d] - 2)
+        n = core.n_vertices + 2
+        side_a = data.draw(st.sets(st.integers(1, n - 2)), label="side_a") | {n - 1}
+        g = Graph(n, core.edges)
+        assert_matches_exhaustive(g, d, Bipartition.from_side_a(g, side_a))
+
+
+class TestTwoComponentForms:
+    """Link components have disjoint supports: one A-only and one B-only part can form a pair."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_pair_is_the_only_answer(self, d):
+        # each edge lies inside one side, so every valid element spans both components
+        g = Graph(4, frozenset({(1, 2), (3, 4)}))
+        part = Bipartition.from_side_a(g, {1, 2})
         coloring = two_color(g)
         for m in (1, 2):
-            try:
-                expected = exhaustive_forms(g, d, coloring, part, m)
-            except NoCorrelationForm:
-                with pytest.raises(NoCorrelationForm):
-                    derive_setting(g, d, coloring, part, m)
-                continue
             s = derive_setting(g, d, coloring, part, m)
-            assert (s.fa_coeffs, s.fb_coeffs) == expected
+            assert (s.fa_coeffs, s.fb_coeffs) == exhaustive_forms(g, d, coloring, part, m)
+            assert all(s.fa_coeffs) and all(s.fb_coeffs)
+
+    def test_connected_set_precedes_tied_pair(self):
+        # isolated Fourier vertices 3 (side A) and 8 (side B) pair up on {3, 8}; the
+        # linked positions 1 and 5 cancel on their shared neighbours 2 and 7 and act
+        # on {1, 5}, which has the same size and sorts first
+        g = Graph(9, frozenset({(1, 2), (1, 7), (2, 4), (2, 5), (2, 9), (5, 7)}))
+        part = Bipartition.from_side_a(g, {3, 5, 6, 7})
+        coloring = two_color(g)
+        s = derive_setting(g, 2, coloring, part, 2)
+        expected = exhaustive_forms(g, 2, coloring, part, 2)
+        assert (s.fa_coeffs, s.fb_coeffs) == expected == ((0, 1, 0, 0), (1, 0, 0, 0, 0))
+
+    def test_one_sided_cut_refused_in_linear_time(self):
+        # A is an isolated vertex next to chain(1000): in setting 1 every Fourier vertex
+        # acts on the chain alone, so no element reaches A, and no search is needed
+        # (the full enumeration would visit 2^500 vectors)
+        g = Graph(1001, make_chain(1000).edges)
+        part = Bipartition.from_side_a(g, {1001})
+        start = time.perf_counter()
+        with pytest.raises(NoCorrelationForm):
+            derive_both_settings(g, 2, part)
+        assert time.perf_counter() - start < 1.0
+
+
+# Cuts far beyond the state vector and the weight-ordered search (which ran for
+# over 100 s on chain(1000) and took 13.7 s on grid(30x30) with A={1,30}).
+LARGE_CUTS = [
+    pytest.param(make_chain(1000), 3, {500}, id="chain1000-vertex"),
+    pytest.param(make_chain(1000), 3, set(range(1, 501)), id="chain1000-halves"),
+    pytest.param(make_grid(30, 30), 2, {1, 30}, id="grid30x30-corners"),
+    pytest.param(make_grid(30, 30), 2, {1}, id="grid30x30-corner"),
+    pytest.param(make_star(1000), 3, {1}, id="star1000-center"),
+    pytest.param(make_star(1000), 3, {2}, id="star1000-leaf"),
+]
+
+
+class TestLargeCuts:
+    @pytest.mark.parametrize("g, d, side_a", LARGE_CUTS)
+    def test_ideal_tables(self, g, d, side_a):
+        part = Bipartition.from_side_a(g, side_a)
+        start = time.perf_counter()
+        settings = derive_both_settings(g, d, part)
+        assert time.perf_counter() - start < 5.0  # a few ms on a 2-CPU VM
+        tables = [stabilizer_table(g, d, s, s, part) for s in settings]
+        for table in tables:
+            np.testing.assert_allclose(table, np.eye(d) / d, atol=1e-12)
+        i_total = sum(mutual_information(t) for t in tables)
+        assert abs(i_total - 2 * np.log2(d)) < 1e-9
 
 
 def nonzero(vertices, coeffs):
