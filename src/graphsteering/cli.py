@@ -39,10 +39,10 @@ EXIT_VALIDATION = 2
 EXIT_DERIVATION = 3
 
 # Peak memory per unit of a command-line size, measured as the ru_maxrss slope
-# (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 16 bytes a
-# round from 2^18 to 2^21 rounds at d=2 (at most 18.5 between doublings) and by
-# 20-21 at d=257, whose outcomes take two bytes; `fig4` by 270-310 bytes an
-# output row.
+# (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 12 bytes a
+# round from 2^18 to 2^21 rounds at d=2 (at most 12.8 between doublings) and by
+# 17 at d=257 (at most 19.5), whose outcomes take two bytes; `fig4` by 270-310
+# bytes an output row.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 320
 
@@ -105,6 +105,12 @@ def _bound(option: str, value: int, n_bytes: int) -> None:
             f"{option} {value} needs about {n_bytes} bytes, "
             f"over the {MAX_STATE_BYTES}-byte limit"
         )
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a seed that numpy's generators would reject with a traceback."""
+    if seed < 0:
+        _refuse(f"--seed {seed} is negative")
 
 
 class _RefusingGroup(click.Group):
@@ -253,6 +259,7 @@ def nosharing(d, samples, seed, out):
     """Monte-Carlo check of the no-sharing inequality over random attacks."""
     if d < 2 or samples < 1:
         _refuse("bad ranges")
+    _check_seed(seed)
     _bound("--d", d, 8 * d * d)  # each sample's float64 d x d gamma table
     rng = np.random.default_rng(seed)
     bound = 2 * float(np.log2(d))
@@ -285,6 +292,7 @@ def nosharing(d, samples, seed, out):
 @click.option("--out", default=None, type=click.Path(), help="Transcript JSONL file.")
 def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     """Run the secret-sharing protocol simulation and report rate estimates."""
+    _check_seed(seed)
     _bound("--rounds", rounds, QSS_BYTES_PER_ROUND * rounds)
     if graph_file is not None:
         g, d = _load_graph(graph_file)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cloner import cloner_output, measured_joint, phase_covariant_gamma
 from .graphs import Bipartition, Graph, two_color
+from .infotheory import mutual_information
 from .registers import QuditRegister
 from .schmidt import mix_white_noise, stabilizer_table
 from .steering import checked_settings
@@ -48,11 +49,13 @@ class ProtocolConfig:
 
 
 JSONL_CHUNK_ROWS = 4096
+COUNT_CHUNK_ROUNDS = 1 << 16
 _KEYS = [
     np.frombuffer(text, dtype=np.uint8)
     for text in (b'{"round": ', b', "ma": ', b', "mb": ', b', "a": ', b', "b": ', b', "sifted": ')
 ]
-_ENDS = np.frombuffer(b"false}\n true}\n", dtype=np.uint8).reshape(2, -1)  # indexed by sifted
+# indexed by sifted; the NUL cell, like every unused leading digit cell, is deleted at the end
+_ENDS = np.frombuffer(b"false}\n\0true}\n", dtype=np.uint8).reshape(2, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,9 +69,30 @@ class Transcript:
 
     def sifted_counts(self, m: int) -> np.ndarray:
         """d x d table of sifted (a, b) counts for setting m."""
-        mask = self.sifted & (self.setting_a == m)
-        flat = self.outcome_a[mask].astype(np.intp) * self.d + self.outcome_b[mask]
-        return np.bincount(flat, minlength=self.d * self.d).reshape(self.d, self.d)
+        if m not in (1, 2):
+            raise ValueError(f"setting must be 1 or 2, got {m}")
+        return self.sifted_tables()[m - 1]
+
+    def sifted_tables(self) -> np.ndarray:
+        """Sifted (a, b) counts of both settings, shape (2, d, d), under one ``bincount`` key.
+
+        Sifted rounds have equal settings, so each round is keyed by
+        ``(setting_a - 1, a, b)`` in the narrowest type that holds the key;
+        the sifted keys are counted ``COUNT_CHUNK_ROUNDS`` at a time, so the
+        intp copy that ``bincount`` makes stays bounded.
+        """
+        d = self.d
+        key = self.setting_a.astype(np.min_scalar_type(2 * d * d - 1))
+        key -= 1
+        key *= d
+        key += self.outcome_a.astype(key.dtype, copy=False)
+        key *= d
+        key += self.outcome_b.astype(key.dtype, copy=False)
+        key = key[self.sifted]
+        counts = np.zeros(2 * d * d, dtype=np.intp)
+        for start in range(0, len(key), COUNT_CHUNK_ROUNDS):  # bincount widens each slice to intp
+            counts += np.bincount(key[start:start + COUNT_CHUNK_ROUNDS], minlength=2 * d * d)
+        return counts.reshape(2, d, d)
 
     def to_jsonl(self, stream) -> None:
         """One JSON record per round, in ``json.dumps`` layout, one ``stream.write`` per chunk.
@@ -88,30 +112,31 @@ def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray) -> str:
     """The records of rounds ``first_round, ...``, whose round numbers share one width.
 
     Each row of a byte matrix holds one record with every integer at the
-    widest width of its field in the chunk, digits right-aligned; one boolean
-    mask then drops the unused leading digit cells and the cell before
-    ``true}``.
+    widest width of its field in the chunk, digits right-aligned.  The unused
+    leading digit cells and the cell before ``true}`` hold NUL, which one
+    ``bytes.replace`` deletes.
     """
-    values = [np.arange(first_round, first_round + len(sifted)), *columns]
+    last_round = first_round + len(sifted) - 1
+    values = [np.arange(first_round, last_round + 1, dtype=np.min_scalar_type(last_round)), *columns]
     widths = [len(str(int(v.max()))) for v in values]
     template = np.concatenate(
         [np.concatenate([key, np.zeros(width, np.uint8)]) for key, width in zip(_KEYS, widths)]
         + [_KEYS[-1], _ENDS[0]]
     )
     rows = np.tile(template, (len(sifted), 1))
-    keep = np.ones(rows.shape, dtype=bool)
     col = 0
     for field, (key, v, width) in enumerate(zip(_KEYS, values, widths)):
-        col += len(key)
-        for power in range(width - 1, -1, -1):
-            rows[:, col] = v // 10 ** power % 10 + ord("0")
+        col += len(key) + width
+        for power in range(width):  # last digit first, with v the number // 10**power
+            rest = v // 10 if power < width - 1 else None
+            char = v + ord("0") if rest is None else v - rest * 10 + ord("0")
             if power and field:  # field 0, the round number, has the same width on every row
-                keep[:, col] = v >= 10 ** power
-            col += 1
+                char *= v > 0
+            rows[:, col - 1 - power] = char
+            v = rest
     col += len(_KEYS[-1])
-    rows[:, col:] = _ENDS[sifted.view(np.uint8)]
-    keep[:, col] = ~sifted
-    return rows[keep].tobytes().decode("ascii")
+    rows[sifted, col:] = _ENDS[1]
+    return rows.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 @dataclass(frozen=True)
@@ -122,69 +147,79 @@ class RateEstimate:
     steerable_hat: bool
 
 
+_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
+
+
 def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
     tables = {}
     if cfg.cloner_disturbance is None:
         settings = checked_settings(cfg.graph, cfg.d, cfg.part)
-        for ma in (1, 2):
-            for mb in (1, 2):
-                tables[(ma, mb)] = stabilizer_table(
-                    cfg.graph, cfg.d, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
-                )
+        for ma, mb in _PAIRS:
+            tables[(ma, mb)] = stabilizer_table(
+                cfg.graph, cfg.d, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
+            )
     else:
         two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs
         QuditRegister(4, cfg.d)  # the cloner's registers, refused before the d x d gamma table
         output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
-        for ma in (1, 2):
-            for mb in (1, 2):
-                tables[(ma, mb)] = mix_white_noise(
-                    measured_joint(output, ma, mb), cfg.noise_p
-                )
+        for ma, mb in _PAIRS:
+            tables[(ma, mb)] = mix_white_noise(measured_joint(output, ma, mb), cfg.noise_p)
     return tables
+
+
+def _cdf(table: np.ndarray) -> np.ndarray:
+    """Cumulative weights of a joint table, built and checked as ``Generator.choice`` does."""
+    flat = table.reshape(-1)
+    total = flat.sum()
+    if not (np.isfinite(flat).all() and (flat >= 0).all() and total > 0):
+        raise ValueError("joint table entries must be finite and non-negative with a positive sum")
+    cdf = np.cumsum(flat / total)
+    cdf /= cdf[-1]
+    return cdf
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
     """Simulate all rounds; deterministic for a fixed config (including seed).
 
-    Settings and outcomes are stored in the narrowest unsigned type that holds
-    2 and d - 1; the draws themselves are made as before, so the random
-    stream, and hence the transcript, does not depend on that type.
+    Each setting pair's flat outcome index a*d + b is drawn by searching its
+    cumulative table at uniform samples, exactly as ``Generator.choice``
+    draws with weights, so the random stream is the one ``choice`` would use.
+    Settings and outcomes are stored in the narrowest unsigned type that
+    holds 2 and d - 1.
     """
+    d = cfg.d
     tables = setting_pair_tables(cfg)
+    cdfs = [_cdf(tables[pair]) for pair in _PAIRS]
     rng = np.random.default_rng(cfg.seed)
-    column = np.min_scalar_type(max(2, cfg.d - 1))
+    column = np.min_scalar_type(max(2, d - 1))
     ma = rng.integers(1, 3, size=cfg.rounds).astype(column)
     mb = rng.integers(1, 3, size=cfg.rounds).astype(column)
-    a_out = np.zeros(cfg.rounds, dtype=column)
-    b_out = np.zeros(cfg.rounds, dtype=column)
-    for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        mask = (ma == pair[0]) & (mb == pair[1])
-        count = int(mask.sum())
-        if count == 0:
-            continue
-        flat = tables[pair].reshape(-1)
-        draws = rng.choice(len(flat), size=count, p=flat / flat.sum())
-        a_out[mask] = draws // cfg.d
-        b_out[mask] = draws % cfg.d
+    code = ma * 2 + mb  # 3, 4, 5, 6 in the order of _PAIRS
+    flat = np.empty(cfg.rounds, dtype=np.min_scalar_type(d * d - 1))
+    for key, cdf in enumerate(cdfs, start=3):
+        mask = code == key
+        count = np.count_nonzero(mask)
+        if count:
+            flat[mask] = cdf.searchsorted(rng.random(count), side="right")
+    a_out = np.empty(cfg.rounds, dtype=column)
+    b_out = np.empty(cfg.rounds, dtype=column)
+    np.divmod(flat, d, out=(a_out, b_out))
     return Transcript(
         setting_a=ma,
         setting_b=mb,
         outcome_a=a_out,
         outcome_b=b_out,
         sifted=ma == mb,
-        d=cfg.d,
+        d=d,
     )
 
 
 def estimate_rates(t: Transcript, d: int) -> RateEstimate:
     """Plug-in mutual-information estimate from sifted empirical frequencies."""
-    from .infotheory import mutual_information
-
     i_hat = 0.0
     rounds = []
-    for m in (1, 2):
-        counts = t.sifted_counts(m)
+    for m, counts in enumerate(t.sifted_tables(), start=1):
         total = int(counts.sum())
         if total == 0:
             raise InsufficientData(f"no sifted rounds for setting m={m}")

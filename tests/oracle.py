@@ -1,8 +1,9 @@
 """Slow references for the fast production paths.
 
 The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
-small N only), the edge-scanning two-coloring and the per-record transcript
-writer.
+small N only), the edge-scanning two-coloring, the per-record transcript
+writer, and the ``Generator.choice`` sampler and masked counts of the
+protocol simulation.
 """
 
 import json
@@ -10,6 +11,7 @@ from collections import deque
 
 import numpy as np
 
+from graphsteering import protocol
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
 from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
 
@@ -86,3 +88,33 @@ def jsonl_by_record(t) -> str:
         json.dumps({"round": k, "ma": ma, "mb": mb, "a": a, "b": b, "sifted": s}) + "\n"
         for k, (ma, mb, a, b, s) in enumerate(zip(*(c.tolist() for c in columns)))
     )
+
+
+def choice_by_pair(cfg) -> protocol.Transcript:
+    """``run_protocol`` drawn with one ``rng.choice`` per setting pair and a boolean scatter per column."""
+    tables = protocol.setting_pair_tables(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    column = np.min_scalar_type(max(2, cfg.d - 1))
+    ma = rng.integers(1, 3, size=cfg.rounds).astype(column)
+    mb = rng.integers(1, 3, size=cfg.rounds).astype(column)
+    a_out = np.zeros(cfg.rounds, dtype=column)
+    b_out = np.zeros(cfg.rounds, dtype=column)
+    for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        mask = (ma == pair[0]) & (mb == pair[1])
+        count = int(mask.sum())
+        if count == 0:
+            continue
+        flat = tables[pair].reshape(-1)
+        draws = rng.choice(len(flat), size=count, p=flat / flat.sum())
+        a_out[mask] = draws // cfg.d
+        b_out[mask] = draws % cfg.d
+    return protocol.Transcript(
+        setting_a=ma, setting_b=mb, outcome_a=a_out, outcome_b=b_out, sifted=ma == mb, d=cfg.d
+    )
+
+
+def masked_counts(t, m: int) -> np.ndarray:
+    """d x d table of sifted (a, b) counts for setting m, from one mask per setting."""
+    mask = t.sifted & (t.setting_a == m)
+    flat = t.outcome_a[mask].astype(np.intp) * t.d + t.outcome_b[mask]
+    return np.bincount(flat, minlength=t.d * t.d).reshape(t.d, t.d)

@@ -289,6 +289,11 @@ class TestNoSharing:
         res = runner.invoke(main, ["nosharing", "--samples", "0"])
         assert res.exit_code == 2
 
+    def test_negative_seed_exit_2(self, runner):
+        res = runner.invoke(main, ["nosharing", "--samples", "1", "--seed", "-1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --seed -1")
+
     def test_oversized_gamma_table_exit_2(self, runner):
         res = runner.invoke(main, ["nosharing", "--d", "100000", "--samples", "1"])
         assert res.exit_code == 2
@@ -332,6 +337,11 @@ class TestQss:
     def test_bad_disturbance_exit_2(self, runner):
         res = runner.invoke(main, ["qss", "--disturbance", "0.9"])
         assert res.exit_code == 2
+
+    def test_negative_seed_exit_2(self, runner):
+        res = runner.invoke(main, ["qss", "--rounds", "10", "--seed", "-1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith("error: --seed -1")
 
     def test_too_few_rounds_exit_2(self, runner):
         # one round cannot sift both settings

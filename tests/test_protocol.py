@@ -3,8 +3,8 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
-from oracle import jsonl_by_record
+from hypothesis import example, given, settings as hyp_settings, strategies as st
+from oracle import choice_by_pair, jsonl_by_record, masked_counts
 
 from graphsteering import (
     Bipartition,
@@ -16,6 +16,8 @@ from graphsteering import (
     make_star,
     run_protocol,
 )
+from graphsteering import protocol
+from graphsteering.infotheory import mutual_information
 from graphsteering.protocol import JSONL_CHUNK_ROWS, setting_pair_tables
 from graphsteering.steering import (
     derive_both_settings,
@@ -28,6 +30,12 @@ def star3_config(**kwargs):
     g = make_star(3)
     part = Bipartition.from_side_a(g, {1})
     return ProtocolConfig(graph=g, d=2, part=part, **kwargs)
+
+
+def assert_same_columns(got, want):
+    for field in ("setting_a", "setting_b", "outcome_a", "outcome_b", "sifted"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def sifted_error_rate(t):
@@ -120,6 +128,61 @@ class TestRunProtocol:
         for field in ("setting_a", "setting_b", "outcome_a", "outcome_b", "sifted"):
             np.testing.assert_array_equal(getattr(t1, field), getattr(t2, field))
 
+    @hyp_settings(max_examples=80, deadline=None)
+    @given(
+        d=st.sampled_from([2, 3, 4, 5, 6, 7, 17]),
+        seed=st.integers(0, 2 ** 32 - 1),
+        # 1 and 2 rounds, a few rounds where some setting pair draws none, and longer runs
+        rounds=st.one_of(st.sampled_from([1, 2]), st.integers(3, 12), st.integers(13, 3000)),
+        noise_p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        attack=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    )
+    @example(d=17, seed=5, rounds=3000, noise_p=0.3, attack=0.5)  # d=17 tables come from the cloner
+    def test_matches_choice_sampler(self, d, seed, rounds, noise_p, attack):
+        # the cloner's tables at d=17 take about a second, so drawn cases at d=17 run unattacked
+        disturbance = None if attack is None or (d == 17 and rounds != 3000) else attack * (d - 1) / d
+        g = make_star(3)
+        cfg = ProtocolConfig(
+            graph=g,
+            d=d,
+            part=Bipartition.from_side_a(g, {1}),
+            noise_p=noise_p,
+            cloner_disturbance=disturbance,
+            rounds=rounds,
+            seed=seed,
+        )
+        assert_same_columns(run_protocol(cfg), choice_by_pair(cfg))
+
+    @pytest.mark.parametrize("d", [2, 3, 17])
+    @pytest.mark.parametrize("rounds", [1, 2, 7, 5000])
+    def test_matches_choice_sampler_on_distinct_tables(self, monkeypatch, d, rounds):
+        # the physical tables have (1, 1) == (2, 2) and (1, 2) == (2, 1), which hides the pair order
+        rng = np.random.default_rng(d * rounds)
+        tables = {}
+        for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            table = rng.random((d, d))
+            table[rng.random((d, d)) < 0.3] = 0.0
+            table[pair[0] - 1, pair[1] - 1] = 1.0
+            tables[pair] = table
+        monkeypatch.setattr(protocol, "setting_pair_tables", lambda cfg: tables)
+        g = make_star(3)
+        cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), rounds=rounds, seed=rounds)
+        assert_same_columns(run_protocol(cfg), choice_by_pair(cfg))
+
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf, "zero"])
+    def test_bad_table_refused(self, monkeypatch, bad):
+        def tables(cfg):
+            table = np.full((2, 2), 0.25)
+            if bad == "zero":
+                table[:] = 0.0
+            else:
+                table[0, 1] = bad
+            return dict.fromkeys(((1, 1), (1, 2), (2, 1), (2, 2)), table)
+
+        monkeypatch.setattr(protocol, "setting_pair_tables", tables)
+        with pytest.raises(ValueError, match="joint table"):
+            run_protocol(star3_config(rounds=10))
+
     def test_seed_changes_outcomes(self):
         t1 = run_protocol(star3_config(rounds=5000, seed=1))
         t2 = run_protocol(star3_config(rounds=5000, seed=2))
@@ -194,6 +257,40 @@ class TestEstimateRates:
         )
         with pytest.raises(InsufficientData):
             estimate_rates(t, 2)
+
+    @pytest.mark.parametrize("missing", [1, 2])
+    def test_insufficient_data_message(self, missing):
+        present = 3 - missing
+        t = Transcript(
+            setting_a=np.array([present, present, missing]),
+            setting_b=np.array([present, missing, present]),
+            outcome_a=np.array([0, 1, 0]),
+            outcome_b=np.array([0, 1, 1]),
+            sifted=np.array([True, False, False]),
+            d=2,
+        )
+        with pytest.raises(InsufficientData, match=f"^no sifted rounds for setting m={missing}$"):
+            estimate_rates(t, 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 17])
+    @pytest.mark.parametrize("chunk", [protocol.COUNT_CHUNK_ROUNDS, 4099])
+    def test_counts_match_masked_counts(self, monkeypatch, d, chunk):
+        monkeypatch.setattr(protocol, "COUNT_CHUNK_ROUNDS", chunk)  # 4099: about 10,000 sifted rounds in three slices
+        g = make_chain(3)
+        cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), noise_p=0.3,
+                             rounds=20_000, seed=d)
+        t = run_protocol(cfg)
+        tables = [masked_counts(t, m) for m in (1, 2)]
+        for m, want in zip((1, 2), tables):
+            np.testing.assert_array_equal(t.sifted_counts(m), want)
+        with pytest.raises(ValueError, match="setting must be 1 or 2"):
+            t.sifted_counts(0)
+        est = estimate_rates(t, d)
+        totals = [int(table.sum()) for table in tables]
+        assert est.sifted_rounds == tuple(totals)
+        assert est.i_hat_total == float(sum(
+            mutual_information(table / total) for table, total in zip(tables, totals)
+        ))
 
 
 class TestTranscriptExport:
