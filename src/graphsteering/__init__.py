@@ -14,8 +14,6 @@ from .registers import (
     RegisterTooLarge,
     PureState,
     DensityOperator,
-    partial_trace,
-    random_state,
 )
 from .graphs import (
     Graph,
@@ -29,12 +27,8 @@ from .graphs import (
     parse_graph,
 )
 from .graphstate import (
-    PauliWord,
     fourier_op,
-    z_op,
-    x_op,
     build_graph_state,
-    stabilizer_generators,
 )
 from .schmidt import (
     SchmidtForm,

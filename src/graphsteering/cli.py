@@ -210,12 +210,13 @@ def fig4(d_list, n, p_max, steps, out):
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
         _refuse("bad ranges")
     _bound("--steps", steps, FIG4_BYTES_PER_ROW * steps * len(dims))
+    QuditRegister(n, max(dims))  # size guard before the star lists all n vertices
+    g = make_star(n)
+    part = Bipartition.from_side_a(g, {1})
     grid = np.linspace(0.0, p_max, steps)
     rows = []
     deviation = 0.0
     for d in dims:
-        g = make_star(n)
-        part = Bipartition.from_side_a(g, {1})
         for p, i_total, r_lower in key_rate_scan(g, d, part, grid):
             rows.append((d, n, p, i_total, r_lower))
             closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))

@@ -8,7 +8,7 @@ sum_k v_k * d**(N-k).  Every other module adopts this convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -103,45 +103,12 @@ class DensityOperator:
         object.__setattr__(self, "matrix", mat)
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[int]) -> DensityOperator:
-    """Reduced density operator on the 1-indexed qudits in ``keep``."""
-    keep = sorted(set(keep))
-    n, d = rho.register.n_qudits, rho.register.local_dim
-    if not keep:
-        raise ValueError("keep set must be non-empty; use trace() for the scalar")
-    if any(not 1 <= q <= n for q in keep):
-        raise ValueError(f"keep set {keep} has out-of-range qudit indices")
-    tensor = rho.matrix.reshape([d] * (2 * n))
-    # Row axis of qudit q is q-1, column axis is n+q-1; traced qudits share a label.
-    row_labels = {}
-    col_labels = {}
-    next_label = 0
-    for q in range(1, n + 1):
-        if q in keep:
-            row_labels[q] = next_label
-            col_labels[q] = next_label + 1
-            next_label += 2
-        else:
-            row_labels[q] = col_labels[q] = next_label
-            next_label += 1
-    subscripts = [row_labels[q] for q in range(1, n + 1)] + [col_labels[q] for q in range(1, n + 1)]
-    out = [row_labels[q] for q in keep] + [col_labels[q] for q in keep]
-    reduced = np.einsum(tensor, subscripts, out)
-    dim_keep = d ** len(keep)
-    return DensityOperator(QuditRegister(len(keep), d), reduced.reshape(dim_keep, dim_keep))
-
-
 def haar_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-random unit vector: normalized complex Gaussian components."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
-
-
-def random_state(register: QuditRegister, rng: np.random.Generator) -> PureState:
-    """Haar-distributed pure state on the given register."""
-    return PureState(register, haar_vector(register.total_dim, rng))
 
 
 def permute_qudits(obj, order: Sequence[int]):
@@ -163,18 +130,3 @@ def permute_qudits(obj, order: Sequence[int]):
         mat = obj.matrix.reshape([d] * (2 * n)).transpose(full).reshape(d ** n, d ** n)
         return DensityOperator(reg, mat)
     raise TypeError("permute_qudits expects a PureState or DensityOperator")
-
-
-def states_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Amplitude-wise equality after removing one global phase.
-
-    The phase is fixed from the largest-magnitude amplitude of ``a``.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    k = int(np.argmax(np.abs(a)))
-    if abs(b[k]) < 1e-14:
-        return False
-    phase = a[k] / b[k]
-    phase /= abs(phase)
-    return bool(np.max(np.abs(a - phase * b)) < tol)

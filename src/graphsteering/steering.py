@@ -13,6 +13,9 @@ from .schmidt import derive_setting, mix_white_noise, stabilizer_table
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
+# Bracket widths at which the bisections for p_noise and D_c stop.
+NOISE_THRESHOLD_TOL = 1e-8
+CRITICAL_DISTURBANCE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -45,9 +48,10 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
 def checked_settings(g: Graph, d: int, part: Bipartition):
     """The two settings, cheapest refusal first.
 
-    The register size is checked before the d^|class| setting search, so an
-    oversized graph is refused before any search; the search then refuses a
-    graph with an odd cycle.
+    The register size is checked before the setting search, which is
+    exponential on dense graphs and for composite d, so an oversized graph is
+    refused before any search; the search then refuses a graph with an odd
+    cycle.
     """
     QuditRegister(g.n_vertices, d)
     return derive_both_settings(g, d, part)
@@ -81,7 +85,7 @@ def _noisy_i_total(tables, p: float) -> float:
     return float(sum(mutual_information(mix_white_noise(t, p)) for t in tables))
 
 
-def noise_threshold(g: Graph, d: int, part: Bipartition, tol: float = 1e-8) -> float:
+def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     """Noise intensity where the certified total information hits log2(d).
 
     Bisection on p; below the returned value the noisy state is certified
@@ -100,7 +104,7 @@ def noise_threshold(g: Graph, d: int, part: Bipartition, tol: float = 1e-8) -> f
             "noise threshold not bracketed; correlation forms look defective "
             f"(excess at 0: {f_lo}, at 1: {f_hi})"
         )
-    while hi - lo > tol:
+    while hi - lo > NOISE_THRESHOLD_TOL:
         mid = 0.5 * (lo + hi)
         if excess(mid) > 0:
             lo = mid
@@ -121,7 +125,7 @@ def disturbance_entropy(D: float, d: int) -> float:
     return float(out)
 
 
-def critical_disturbance(d: int, tol: float = 1e-9) -> float:
+def critical_disturbance(d: int) -> float:
     """Disturbance at which the key-rate bound vanishes: root of H(D) = log2(d)/2.
 
     Bisection on (0, (d-1)/d); H has infinite slope at D -> 0, so bisection is
@@ -131,7 +135,7 @@ def critical_disturbance(d: int, tol: float = 1e-9) -> float:
         raise ValueError("d must be >= 2")
     target = 0.5 * np.log2(d)
     lo, hi = 0.0, (d - 1) / d
-    while hi - lo > tol:
+    while hi - lo > CRITICAL_DISTURBANCE_TOL:
         mid = 0.5 * (lo + hi)
         if disturbance_entropy(mid, d) < target:
             lo = mid

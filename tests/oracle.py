@@ -2,8 +2,8 @@
 
 The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
 small N only), the edge-scanning two-coloring, the per-record transcript
-writer, and the ``Generator.choice`` sampler and masked counts of the
-protocol simulation.
+writer, the ``Generator.choice`` sampler and masked counts of the
+protocol simulation, and the partial trace of a density operator.
 """
 
 import json
@@ -13,6 +13,7 @@ import numpy as np
 
 from graphsteering import protocol
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
+from graphsteering.registers import DensityOperator, QuditRegister
 from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
 
 
@@ -118,3 +119,31 @@ def masked_counts(t, m: int) -> np.ndarray:
     mask = t.sifted & (t.setting_a == m)
     flat = t.outcome_a[mask].astype(np.intp) * t.d + t.outcome_b[mask]
     return np.bincount(flat, minlength=t.d * t.d).reshape(t.d, t.d)
+
+
+def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
+    """Reduced density operator on the 1-indexed qudits in ``keep``."""
+    keep = sorted(set(keep))
+    n, d = rho.register.n_qudits, rho.register.local_dim
+    if not keep:
+        raise ValueError("keep set must be non-empty")
+    if any(not 1 <= q <= n for q in keep):
+        raise ValueError(f"keep set {keep} has out-of-range qudit indices")
+    tensor = rho.matrix.reshape([d] * (2 * n))
+    # Row axis of qudit q is q-1, column axis is n+q-1; traced qudits share a label.
+    row_labels = {}
+    col_labels = {}
+    next_label = 0
+    for q in range(1, n + 1):
+        if q in keep:
+            row_labels[q] = next_label
+            col_labels[q] = next_label + 1
+            next_label += 2
+        else:
+            row_labels[q] = col_labels[q] = next_label
+            next_label += 1
+    subscripts = [row_labels[q] for q in range(1, n + 1)] + [col_labels[q] for q in range(1, n + 1)]
+    out = [row_labels[q] for q in keep] + [col_labels[q] for q in keep]
+    reduced = np.einsum(tensor, subscripts, out)
+    dim_keep = d ** len(keep)
+    return DensityOperator(QuditRegister(len(keep), d), reduced.reshape(dim_keep, dim_keep))

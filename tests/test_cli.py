@@ -212,6 +212,12 @@ class TestFig4:
         assert res.exit_code == 2
         assert "RegisterTooLarge" in res.stderr
 
+    def test_oversized_star_refused_before_built(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "make_star", reached)
+        res = runner.invoke(main, ["fig4", "--d", "2", "--n", "100000000", "--steps", "2"])
+        assert res.exit_code == 2
+        assert "RegisterTooLarge" in res.stderr
+
     def test_oversized_grid_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--d", "2", "--steps", "10000000000"])
         assert res.exit_code == 2
@@ -461,6 +467,19 @@ class TestVerify:
         assert res.exit_code == 0
         assert "FAIL" not in res.output
         assert "invariant checks passed" in res.output
+
+    def test_builds_no_dense_state(self, runner, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify built a dense state")
+
+        package = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphsteering"]
+        for module in package:
+            for attr in ("PureState", "DensityOperator"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+        res = runner.invoke(main, ["verify"])
+        assert res.exit_code == 0, res.output
+        assert "FAIL" not in res.output
 
 
 class TestNoStateVector:

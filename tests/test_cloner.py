@@ -13,11 +13,11 @@ from graphsteering import (
     mutual_info_ab,
     mutual_information,
     no_sharing_sum,
-    partial_trace,
     phase_covariant_gamma,
     q_marginals,
     shannon_entropy,
 )
+from oracle import partial_trace
 
 
 def identity_gamma(d):

@@ -4,15 +4,16 @@ import pytest
 from graphsteering import (
     CqEnsemble,
     DensityOperator,
+    PureState,
     QuditRegister,
     holevo,
     mutual_information,
-    random_state,
     shannon_entropy,
     uncertainty_floor,
     von_neumann_entropy,
 )
 from graphsteering.cloner import phase_covariant_gamma
+from graphsteering.registers import haar_vector
 from graphsteering.schmidt import Povm
 from graphsteering.steering import disturbance_entropy
 
@@ -89,7 +90,7 @@ class TestMutualInformation:
 class TestVonNeumannEntropy:
     def test_pure_state_zero(self):
         rng = np.random.default_rng(31)
-        rho = random_state(QuditRegister(2, 3), rng).density()
+        rho = PureState(QuditRegister(2, 3), haar_vector(9, rng)).density()
         assert abs(von_neumann_entropy(rho)) < 1e-9
 
     def test_maximally_mixed(self):
@@ -147,7 +148,7 @@ class TestHolevo:
 
     def test_identical_states_zero(self):
         rng = np.random.default_rng(7)
-        rho = random_state(QuditRegister(1, 3), rng).density()
+        rho = PureState(QuditRegister(1, 3), haar_vector(3, rng)).density()
         ens = CqEnsemble(np.array([0.4, 0.6]), (rho, rho))
         assert abs(holevo(ens)) < 1e-10
 
@@ -157,7 +158,7 @@ class TestHolevo:
         for _ in range(30):
             raw = rng.random(3)
             priors = raw / raw.sum()
-            conds = tuple(random_state(reg, rng).density() for _ in range(3))
+            conds = tuple(PureState(reg, haar_vector(2, rng)).density() for _ in range(3))
             chi = holevo(CqEnsemble(priors, conds))
             assert -1e-10 < chi < shannon_entropy(priors) + 1e-10
 
