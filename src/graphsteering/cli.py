@@ -12,7 +12,6 @@ import datetime
 import io
 import json
 import os
-import sys
 import tempfile
 
 import click

@@ -28,7 +28,7 @@ FOURIER = "fourier"
 
 
 class NoCorrelationForm(RuntimeError):
-    """No stabilizer element yields surjective side-local forms for this split."""
+    """No stabilizer element correlates the two sides: no edge crosses the cut."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,11 +105,14 @@ def derive_setting(
     For m=1 the color-0 vertices are measured in the computational basis and
     color-1 in the Fourier basis; m=2 swaps the roles.  The coarse-graining
     forms come from the subgroup generated by the stabilizers of the
-    Fourier-measured color class; the canonical element is the one acting on
-    the fewest vertices (ties broken by vertex support, then exponents).
-    Prime d searches link-connected position sets (``_connected_search``);
-    composite d keeps the weight-ordered search, since there a gcd can
-    combine coefficients across link components.
+    Fourier-measured color class, and only informative elements qualify
+    (``_informative``: gcd(c, d) = 1 for the cross-cut vector c).  The
+    canonical element is the informative one acting on the fewest vertices
+    (ties broken by vertex support, then exponents).  One exists iff some
+    Fourier-measured vertex has a neighbour across the cut, which is checked
+    first, in O(N + |E|).  Prime d searches link-connected position sets
+    (``_connected_search``); composite d keeps the weight-ordered search,
+    since there a gcd can combine entries of c across link components.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -117,26 +120,28 @@ def derive_setting(
     local_bases = {
         v: FOURIER if c == fourier_color else COMPUTATIONAL for v, c in coloring.colors.items()
     }
-    a_vertices = tuple(sorted(part.side_a))
+    side_a = part.side_a
+    a_vertices = tuple(sorted(side_a))
     b_vertices = tuple(sorted(part.side_b))
 
     # No edge joins two Fourier vertices, so every edge has one end in each class.
     neighbors = {a: [] for a in sorted(v for v, c in coloring.colors.items() if c == fourier_color)}
-    if not neighbors:
-        raise NoCorrelationForm(f"no Fourier-measured vertices for setting m={m}")
     readers = {}  # computational vertex -> its Fourier neighbours
     for i, j in g.edges:
         a, b = (i, j) if i in neighbors else (j, i)
         neighbors[a].append(b)
         readers.setdefault(b, []).append(a)
-    if all(d % q for q in range(2, math.isqrt(d) + 1)):  # d is prime
-        best = _connected_search(d, neighbors, readers, part.side_a)
-    else:
-        best = _weight_ordered_search(d, neighbors, part.side_a)
-    if best is None:
+    # Alone, with exponent 1, a boundary position has c = (1, ..., 1); with none, c = 0 always.
+    boundary = [a for a, nbrs in neighbors.items() if any((b in side_a) != (a in side_a) for b in nbrs)]
+    if not boundary:
         raise NoCorrelationForm(
-            f"no surjective side-local correlation form for A={sorted(part.side_a)}, m={m}"
+            f"no Fourier-measured vertex has a neighbour across the cut A={list(a_vertices)} "
+            f"for setting m={m}: no edge crosses the cut, so the state is a product across it"
         )
+    if all(d % q for q in range(2, math.isqrt(d) + 1)):  # d is prime
+        best = _connected_search(d, neighbors, readers, side_a, boundary)
+    else:
+        best = _weight_ordered_search(d, neighbors, side_a)
     coeff = _coefficients(*best, neighbors)
     fa = tuple([coeff.get(v, 0) % d for v in a_vertices])
     fb = tuple([-coeff.get(v, 0) % d for v in b_vertices])
@@ -157,8 +162,28 @@ def _coefficients(positions, values, neighbors) -> dict:
     return coeff
 
 
+def _informative(positions, values, neighbors, side_a, d: int) -> bool:
+    """Whether the element's cross-cut vector c has gcd(c, d) = 1.
+
+    c_b sums, at each computational vertex b, the exponents of b's Fourier
+    neighbours on the other side of the cut.  With S = S_A (x) S_B, S_A^s is
+    in the graph-state stabilizer group (Hein, Eisert & Briegel, PRA 69,
+    062311), up to a phase, iff s c = 0 mod d.  So gcd(c, d) = 1 leaves the
+    A-side value uniform, the ideal table carries I = log2 d, and the forms
+    are onto Z_d; otherwise the table has I < log2 d (I = 0 for a product
+    element, c = 0).
+    """
+    cross = {}
+    for a, n_a in zip(positions, values):
+        in_a = a in side_a
+        for b in neighbors[a]:
+            if (b in side_a) != in_a:
+                cross[b] = cross.get(b, 0) + n_a
+    return math.gcd(d, *cross.values()) == 1
+
+
 def _weight_ordered_search(d: int, neighbors: dict, side_a):
-    """Canonical (positions, exponents) over all d^k - 1 exponent vectors, or None.
+    """Canonical informative (positions, exponents) over all d^k - 1 exponent vectors.
 
     No edge joins two Fourier vertices, so exponent n_a != 0 puts -n_a on
     vertex a itself: a vector of Hamming weight w acts on at least w vertices.
@@ -166,7 +191,8 @@ def _weight_ordered_search(d: int, neighbors: dict, side_a):
     the best support size, and still returns the minimum over all d^k - 1.
     At w equal to that size a rival acts on its w Fourier vertices alone, and
     those come in increasing order, so the search also stops once they pass
-    the best support.
+    the best support.  A boundary position alone is informative, so the
+    first weight already bounds the search.
     """
     generators = list(neighbors)
     k = len(generators)
@@ -179,103 +205,73 @@ def _weight_ordered_search(d: int, neighbors: dict, side_a):
                 break
             for values in itertools.product(range(1, d), repeat=w):
                 coeff = _coefficients(positions, values, neighbors)
-                gcd_a = gcd_b = d  # c.x is onto Z_d iff gcd(c, d) = 1, and gcd(-c, d) = gcd(c, d)
-                for v, c in coeff.items():
-                    if v in side_a:
-                        gcd_a = math.gcd(gcd_a, c)
-                    else:
-                        gcd_b = math.gcd(gcd_b, c)
-                if gcd_a != 1 or gcd_b != 1:
-                    continue
                 support = tuple(sorted(v for v, c in coeff.items() if c % d))
+                if (len(support), support) > best_key[:2]:
+                    continue
                 n_vec = dict(zip(positions, values))
                 key = (len(support), support, tuple(n_vec.get(a, 0) for a in generators))
-                if key < best_key:
+                if key < best_key and _informative(positions, values, neighbors, side_a, d):
                     best_key, best = key, (positions, values)
     return best
 
 
-def _connected_search(d: int, neighbors: dict, readers: dict, side_a):
-    """Canonical (positions, exponents) for prime d, or None, from link-connected sets.
+def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
+    """Canonical informative (positions, exponents) for prime d, from link-connected sets.
 
-    Two Fourier positions are linked when they share a neighbour.  For prime d
-    a coefficient is onto Z_d iff it is nonzero, so an element is valid iff
-    its support meets both sides.  Sets in different link components have
-    disjoint closed neighbourhoods, hence disjoint supports, so the minimum
-    key is either one connected set whose support meets both sides (it holds
-    a boundary position, one whose closed neighbourhood N[a] meets both
-    sides) or the least A-only connected set joined with the least B-only one.
-    Their supports lie on different sides, so the key of the pair merges the
-    two keys, and the least pair joins the two least sets.  Without a
-    boundary position, a side with positions has one whose N[a] lies inside
-    it, a valid set alone; so when some side has none, every N[a] lies
-    inside the other side and no element is valid (no group is the union of
-    two proper subgroups), which is found before any set is grown.
+    Two Fourier positions are linked when they share a neighbour.  Sets in
+    different link components have disjoint closed neighbourhoods, so each
+    adds its own entries to the cross-cut vector c and its own vertices to
+    the support.  For prime d an element is informative iff c != 0, so the
+    minimum is one connected set: dropping a component with c = 0 keeps the
+    element informative and shrinks its support.  That set holds a boundary
+    position, one with a neighbour across the cut, since only those add to
+    c; and each boundary position alone, with exponent 1, is informative and
+    acts on its closed neighbourhood N[a].
+
+    The least such singleton bounds the sets of w >= 2 positions.  A set of
+    w positions acts on at least those w vertices, so the search stops once
+    w exceeds the best support size; below it, each connected set is grown
+    once, under its least boundary position.  At w equal to it, a rival
+    acts on its positions alone and must sort before the best support, so
+    its least member is at most the support's first vertex and lies within
+    link distance w - 1 of a boundary position: the sets are grown instead
+    under their least member, in increasing order, and the level ends at the
+    first root whose w least positions onwards sort after the best support.
     """
-    sides = ([], [])  # positions on side A, on side B
-    lone = [False, False]  # a side holds an isolated position, whose support is itself
-    boundary = []
-    best = None  # ((support size, support, exponents), positions), first the least boundary singleton
-    for a, nbrs in neighbors.items():
-        in_b = a not in side_a
-        sides[in_b].append(a)
-        meets_a = not in_b or not side_a.isdisjoint(nbrs)
-        meets_b = in_b or not side_a.issuperset(nbrs)
-        if not nbrs:
-            lone[in_b] = True
-        elif meets_a and meets_b:  # for any exponent, {a} acts on N[a]
-            boundary.append(a)
-            support = tuple(sorted((a, *nbrs)))
-            if best is None or (len(support), support) < best[0][:2]:
-                best = ((len(support), support, (1,)), (a,))
     on_boundary = frozenset(boundary)
-
-    def valid_roots(w, first):
-        """Roots, and the rule for the other members, reaching each set with a boundary position."""
-        if first is None:  # each set under its least boundary position
-            return boundary, lambda root, u: u > root or u not in on_boundary
-        roots = list(itertools.takewhile(first.__ge__, neighbors))
-        ball = _link_ball(boundary, w - 1, neighbors, readers) if roots else ()
-        return [root for root in roots if root in ball], operator.lt
-
-    limit = math.inf
-    if best is not None and any(len(nbrs) > 1 for nbrs in readers.values()):  # some link exists
-        best = _least_connected(
-            d, neighbors, readers, valid_roots, on_boundary,
-            lambda support: not side_a.isdisjoint(support) and not side_a.issuperset(support),
-            limit, best,
-        )
-    if best is not None:
-        limit = best[0][0]
-    # A one-sided support has one vertex only if it is an isolated position, else at least two.
-    one_sided = []
-    if all(sides) and (2 - lone[0]) + (2 - lone[1]) <= limit:
-        accepts = (side_a.issuperset, side_a.isdisjoint)
-        for side in sorted((0, 1), key=lambda side: len(sides[side])):
-            room = limit - one_sided[0][0][0] if one_sided else limit - 1
-            members = frozenset(sides[side])
-            found = _least_connected(
-                d, neighbors, readers, _side_roots(sides[side], members), members,
-                accepts[side], room,
-            )
-            if found is None:
+    best_key, best = (math.inf,), None
+    for a in boundary:  # whatever the exponent, {a} acts on N[a]
+        support = tuple(sorted((a, *neighbors[a])))
+        key = (len(support), support, (1,))
+        if key < best_key:
+            best_key, best = key, (a,)
+    order = list(neighbors)  # every position, ascending
+    for w in itertools.count(2):
+        if w > best_key[0]:
+            break
+        if w < best_key[0]:  # each set under its least boundary position
+            starts, allowed = boundary, lambda root, u: u > root or u not in on_boundary
+        else:
+            if _least_from(order, order[0], w) > best_key[1]:
                 break
-            one_sided.append(found)
-    if len(one_sided) == 2:
-        (key_1, pos_1), (key_2, pos_2) = one_sided
-        exponents = dict(zip(pos_1, key_1[2]))
-        exponents.update(zip(pos_2, key_2[2]))
-        positions = tuple(sorted(exponents))
-        values = tuple(exponents[a] for a in positions)
-        key = (key_1[0] + key_2[0], tuple(sorted(key_1[1] + key_2[1])), values)
-        if best is None or key < best[0]:
-            best = (key, positions)
-    return None if best is None else (best[1], best[0][2])
-
-
-def _side_roots(positions, members):
-    """Roots of the connected sets of these positions, each set under its least member."""
-    return lambda w, first: (positions, lambda root, u: u > root and u in members)
+            roots = list(itertools.takewhile(best_key[1][0].__ge__, order))
+            ball = _link_ball(boundary, w - 1, neighbors, readers) if roots else ()
+            starts = itertools.takewhile(  # roots ascend, and the best support only falls
+                lambda root: _least_from(order, root, w) <= best_key[1],
+                [root for root in roots if root in ball],
+            )
+            allowed = operator.lt
+        grown = False
+        for positions in _connected_sets(starts, w, allowed, neighbors, readers):
+            grown = True
+            if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
+                continue
+            key = _least_key(positions, d, neighbors, side_a, best_key)
+            if key is not None:
+                best_key, best = key, positions
+        if not grown:  # no connected set of w positions, so none of more
+            break
+    return best, best_key[2]
 
 
 def _link_ball(seeds, radius, neighbors, readers) -> set:
@@ -295,66 +291,20 @@ def _link_ball(seeds, radius, neighbors, readers) -> set:
     return ball
 
 
-def _least_connected(d, neighbors, readers, roots, required, accept, limit, singles=None):
-    """Least key over connected sets with an accepted support of at most ``limit`` vertices.
-
-    ``roots(w, first)`` gives roots and a rule ``allowed(root, u)``: the
-    connected sets of w positions made of a root and positions u it allows
-    hold every set of weight w that may win, each once; sets with no
-    position in ``required`` cannot win.  A set of w positions acts on at
-    least those w vertices, so the search stops once w exceeds the best
-    support size.  At w equal to it, ``first`` is the best support's first
-    vertex: a rival acts on its positions alone and must sort before the
-    best support, so its least member is at most ``first``, and ``roots``
-    gives instead, in increasing order, the least member of each such set;
-    the level ends at the first root whose w least positions onwards sort
-    after the best support.  ``singles``, the best set of weight 1 if
-    already known, skips that weight.  Returns (key, positions) or None.
-    """
-    order = list(neighbors)  # every position, ascending
-    best_key, best = singles or ((limit + 1,), None)
-    for w in itertools.count(1 if singles is None else 2):
-        if w > limit or w > best_key[0]:
-            break
-        grown = False
-        first = None
-        if w == best_key[0]:
-            if _least_from(order, order[0], w) > best_key[1]:
-                break
-            first = best_key[1][0]
-        starts, allowed = roots(w, first)
-        if first is not None:  # roots ascend, and the best support only falls
-            starts = itertools.takewhile(lambda root: _least_from(order, root, w) <= best_key[1], starts)
-        sets = _connected_sets(starts, w, allowed, neighbors, readers) if w > 1 else zip(starts)
-        for positions in sets:
-            grown = True
-            if required.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
-                continue
-            key = _least_key(positions, d, neighbors, accept, best_key)
-            if key is not None:
-                best_key, best = key, positions
-        if not grown:  # no connected set of w positions, so none of more
-            break
-    return None if best is None else (best_key, best)
-
-
 def _least_from(order, root, w):
     """The w least positions from ``root`` on; no w-set whose least member is ``root`` sorts before them."""
     i = bisect.bisect_left(order, root)
     return tuple(order[i:i + w])
 
 
-def _least_key(positions, d, neighbors, accept, bound):
-    """Least (support size, support, exponents) below ``bound`` over nonzero exponents, or None.
+def _least_key(positions, d, neighbors, side_a, bound):
+    """Least informative (support size, support, exponents) below ``bound``, or None.
 
     A neighbour read by one position always carries a nonzero coefficient;
     only those read by several can cancel.  With none of those, every choice
-    of exponents has the same support, and all ones is the least.
+    of exponents has the same support, and all ones is the least.  The
+    cross-cut test runs only on a key that beats the bound.
     """
-    if len(positions) == 1:  # acts on its closed neighbourhood whatever the exponent
-        support = tuple(sorted((*positions, *neighbors[positions[0]])))
-        key = (len(support), support, (1,))
-        return key if key < bound and accept(support) else None
     reads = {}  # computational vertex -> indices of its neighbours among the positions
     for i, a in enumerate(positions):
         for b in neighbors[a]:
@@ -376,7 +326,7 @@ def _least_key(positions, d, neighbors, accept, bound):
             continue
         support = tuple(sorted(support))
         key = (len(support), support, values)
-        if key < bound and accept(support):
+        if key < bound and _informative(positions, values, neighbors, side_a, d):
             bound = best = key
     return best
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import (
     Bipartition,
+    Graph,
     critical_disturbance,
     derive_both_settings,
     dirichlet_gamma,
@@ -31,10 +32,12 @@ from .registers import MAX_STATE_BYTES
 
 def check_ideal_correlations():
     """Diagonal closed-form tables with i_total = 2 log2 d."""
+    tree = Graph(7, frozenset({(1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (5, 6)}))
     cases = [
         (make_star(1000), 3, {1}),
         (make_grid(30, 30), 2, {1, 30}),
         (make_chain(1000), 3, {500}),
+        (tree, 2, {4, 5, 6, 7}),  # a product element here has surjective forms and I = 0
     ]
     for g, d, side_a in cases:
         part = Bipartition.from_side_a(g, side_a)

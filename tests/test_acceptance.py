@@ -24,7 +24,6 @@ from graphsteering import (
     holevo,
     conditional_ensemble,
     cloner_output,
-    joint_distribution,
     key_rate_scan,
     make_chain,
     make_star,

@@ -134,11 +134,32 @@ class TestCertify:
         assert res.stderr.startswith("error: RegisterTooLarge")
 
     @pytest.mark.parametrize(
+        "doc, partition",
+        [
+            # for m=2 a product element here has surjective forms and I = 0
+            ('{"n": 7, "d": %d, "edges": [[1, 2], [1, 4], [1, 5], [1, 7], [2, 3], [5, 6]]}', "4,5,6,7"),
+            # a Bell pair across the cut, and one idle qudit on each side
+            ('{"n": 4, "d": %d, "edges": [[3, 4]]}', "1,3"),
+        ],
+    )
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_informative_forms(self, runner, tmp_path, doc, partition, d):
+        path = tmp_path / "g.json"
+        path.write_text(doc % d)
+        res = runner.invoke(main, ["certify", str(path), "--partition", partition, "--p", "0"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert abs(payload["i_total"] - 2 * np.log2(d)) < 1e-9
+        assert payload["steerable"] is True
+
+    @pytest.mark.parametrize(
         "doc, partition, reason",
         [
-            ('{"n": 2, "d": 3, "edges": []}', "1", "no Fourier-measured vertices"),
-            # isolated vertex 3 is computational for m=1, and no Fourier stabilizer reads it
-            ('{"n": 3, "d": 2, "edges": [[1, 2]]}', "3", "no surjective"),
+            ('{"n": 2, "d": 3, "edges": []}', "1", "no Fourier-measured vertex has a neighbour"),
+            # vertex 3 is isolated, so no edge crosses the cut
+            ('{"n": 3, "d": 2, "edges": [[1, 2]]}', "3", "no edge crosses"),
+            # each edge lies inside one side: the state is a product across the cut
+            ('{"n": 4, "d": 2, "edges": [[1, 2], [3, 4]]}', "1,2", "no edge crosses"),
         ],
     )
     def test_no_correlation_form_exit_3(self, runner, tmp_path, doc, partition, reason):

@@ -509,12 +509,12 @@ class TestStabilizerTable:
 def exhaustive_forms(g, d, coloring, part, m):
     """Reference search: every one of the d^k exponent vectors, canonical minimum kept.
 
-    This is the enumeration ``derive_setting`` used before its weight-ordered
-    search; it returns (fa_coeffs, fb_coeffs) or raises NoCorrelationForm.
+    An element qualifies when its cross-cut vector c has gcd(c, d) = 1: c_b
+    sums, at each vertex b, the exponents of b's Fourier neighbours on the
+    other side of the cut.  Returns (fa_coeffs, fb_coeffs) or raises
+    NoCorrelationForm.
     """
     generators = sorted(coloring.color_class(1 if m == 1 else 0))
-    if not generators:
-        raise NoCorrelationForm(f"no Fourier-measured vertices for setting m={m}")
     a_vertices, b_vertices = sorted(part.side_a), sorted(part.side_b)
     neighbor_sets = {a: g.neighbors(a) for a in generators}
     best = None
@@ -522,22 +522,23 @@ def exhaustive_forms(g, d, coloring, part, m):
         if not any(n_vec):
             continue
         coeff = {v: 0 for v in range(1, g.n_vertices + 1)}
+        cross = {v: 0 for v in range(1, g.n_vertices + 1)}
         for a, n_a in zip(generators, n_vec):
-            if n_a == 0:
-                continue
             coeff[a] = (coeff[a] - n_a) % d
             for b in neighbor_sets[a]:
                 coeff[b] = (coeff[b] + n_a) % d
-        fa = tuple(coeff[v] for v in a_vertices)
-        fb = tuple((-coeff[v]) % d for v in b_vertices)
-        if math.gcd(*fa, d) != 1 or math.gcd(*fb, d) != 1:
+                if (a in part.side_a) != (b in part.side_a):
+                    cross[b] += n_a
+        if math.gcd(d, *cross.values()) != 1:
             continue
         support = tuple(sorted(v for v in coeff if coeff[v] != 0))
         key = (len(support), support, n_vec)
         if best is None or key < best[0]:
+            fa = tuple(coeff[v] for v in a_vertices)
+            fb = tuple((-coeff[v]) % d for v in b_vertices)
             best = (key, fa, fb)
     if best is None:
-        raise NoCorrelationForm(f"no surjective side-local correlation form, m={m}")
+        raise NoCorrelationForm(f"no informative element, m={m}")
     return best[1], best[2]
 
 
@@ -578,24 +579,51 @@ class TestSearchMatchesExhaustive:
         assert_matches_exhaustive(g, d, Bipartition.from_side_a(g, side_a))
 
 
-class TestTwoComponentForms:
-    """Link components have disjoint supports: one A-only and one B-only part can form a pair."""
+class TestInformativeForms:
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_every_setting_carries_log2_d(self, data):
+        # refused iff no edge crosses the cut; otherwise each ideal table has
+        # I = log2 d, and the state-vector oracle gives the same table up to
+        # 10^5 amplitudes (at 6^8 the dense state fails its own 1e-12 norm check)
+        d = data.draw(st.integers(2, 6), label="d")
+        g = draw_bipartite_graph(data, 8)
+        part = draw_cut(data, g)
+        crossed = any((i in part.side_a) != (j in part.side_a) for i, j in g.edges)
+        try:
+            settings = derive_both_settings(g, d, part)
+        except NoCorrelationForm:
+            assert not crossed
+            return
+        assert crossed
+        psi = build_graph_state(g, d) if d ** g.n_vertices <= 10 ** 5 else None
+        for s in settings:
+            table = stabilizer_table(g, d, s, s, part)
+            assert abs(mutual_information(table) - np.log2(d)) < 1e-9
+            if psi is not None:
+                assert np.max(np.abs(table - outcome_table(psi, s, s, part))) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
+
+class TestTwoComponentForms:
+    """Link components have disjoint supports, and a one-sided part carries nothing."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
     def test_pair_is_the_only_answer(self, d):
-        # each edge lies inside one side, so every valid element spans both components
+        # each edge lies inside one side, so the only elements acting on both sides
+        # pair an A-only part with a B-only one: the state is a product across the cut
         g = Graph(4, frozenset({(1, 2), (3, 4)}))
         part = Bipartition.from_side_a(g, {1, 2})
         coloring = two_color(g)
         for m in (1, 2):
-            s = derive_setting(g, d, coloring, part, m)
-            assert (s.fa_coeffs, s.fb_coeffs) == exhaustive_forms(g, d, coloring, part, m)
-            assert all(s.fa_coeffs) and all(s.fb_coeffs)
+            with pytest.raises(NoCorrelationForm, match="no edge crosses"):
+                derive_setting(g, d, coloring, part, m)
+            with pytest.raises(NoCorrelationForm):
+                exhaustive_forms(g, d, coloring, part, m)
 
     def test_connected_set_precedes_tied_pair(self):
-        # isolated Fourier vertices 3 (side A) and 8 (side B) pair up on {3, 8}; the
-        # linked positions 1 and 5 cancel on their shared neighbours 2 and 7 and act
-        # on {1, 5}, which has the same size and sorts first
+        # isolated Fourier vertices 3 (side A) and 8 (side B) act on {3, 8} but form a
+        # product element; the linked positions 1 and 5 cancel on their shared
+        # neighbours 2 and 7, act on {1, 5}, and are informative (c_2 = c_7 = 1)
         g = Graph(9, frozenset({(1, 2), (1, 7), (2, 4), (2, 5), (2, 9), (5, 7)}))
         part = Bipartition.from_side_a(g, {3, 5, 6, 7})
         coloring = two_color(g)
@@ -603,15 +631,15 @@ class TestTwoComponentForms:
         expected = exhaustive_forms(g, 2, coloring, part, 2)
         assert (s.fa_coeffs, s.fb_coeffs) == expected == ((0, 1, 0, 0), (1, 0, 0, 0, 0))
 
-    def test_one_sided_cut_refused_in_linear_time(self):
-        # A is an isolated vertex next to chain(1000): in setting 1 every Fourier vertex
-        # acts on the chain alone, so no element reaches A, and no search is needed
-        # (the full enumeration would visit 2^500 vectors)
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_one_sided_cut_refused_in_linear_time(self, d):
+        # A is an isolated vertex next to chain(1000): no edge crosses the cut, so no
+        # search is needed (the full enumeration would visit d^500 vectors)
         g = Graph(1001, make_chain(1000).edges)
         part = Bipartition.from_side_a(g, {1001})
         start = time.perf_counter()
         with pytest.raises(NoCorrelationForm):
-            derive_both_settings(g, 2, part)
+            derive_both_settings(g, d, part)
         assert time.perf_counter() - start < 1.0
 
 
