@@ -40,10 +40,13 @@ EXIT_DERIVATION = 3
 # Peak memory per unit of a command-line size, measured as the ru_maxrss slope
 # (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 12 bytes a
 # round from 2^18 to 2^21 rounds at d=2 (at most 12.8 between doublings) and by
-# 17 at d=257 (at most 19.5), whose outcomes take two bytes; `fig4` by 270-310
-# bytes an output row.
+# 17 at d=257 (at most 19.5), whose outcomes take two bytes; `fig4 --d 2` by 34
+# bytes an output row from 2^18 to 2^22 rows (at most 37.2 between doublings):
+# the p grid and the (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
 QSS_BYTES_PER_ROUND = 24
-FIG4_BYTES_PER_ROW = 320
+FIG4_BYTES_PER_ROW = 48
+# Output rows formatted and written at a time by `fig4`.
+CSV_CHUNK_ROWS = 4096
 
 
 def _manifest(command: str, params: dict, seed=None) -> dict:
@@ -57,11 +60,11 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 
 
 def _atomic_write(path: str, write) -> None:
-    """Call ``write(handle)`` on a temp file beside ``path``, then rename it into place."""
+    """Call ``write(handle)`` on a binary temp file beside ``path``, then rename it into place."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "wb") as handle:
             write(handle)
         os.replace(tmp, path)
     except BaseException:
@@ -70,11 +73,13 @@ def _atomic_write(path: str, write) -> None:
         raise
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the text chunks to ``out``, each encoded once, or echo them to stdout."""
     if out:
-        _atomic_write(out, lambda handle: handle.write(text))
+        _atomic_write(out, lambda handle: handle.writelines(chunk.encode() for chunk in chunks))
     else:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
 
 
 def _csv_document(manifest: dict, header: list, rows: list) -> str:
@@ -188,13 +193,13 @@ def certify(graph_file, partition, p, fmt, out):
         "manifest": manifest,
     }
     if fmt == "json":
-        _emit(json.dumps(payload, indent=2) + "\n", out)
+        _emit([json.dumps(payload, indent=2) + "\n"], out)
     else:
         header = ["i_setting_1", "i_setting_2", "i_total", "threshold", "steerable", "margin"]
         row = (
             *report.i_per_setting, report.i_total, report.threshold, report.steerable, report.margin
         )
-        _emit(_csv_document(manifest, header, [row]), out)
+        _emit([_csv_document(manifest, header, [row])], out)
 
 
 @main.command()
@@ -213,15 +218,21 @@ def fig4(d_list, n, p_max, steps, out):
     g = make_star(n)
     part = Bipartition.from_side_a(g, {1})
     grid = np.linspace(0.0, p_max, steps)
-    rows = []
-    deviation = 0.0
-    for d in dims:
-        for p, i_total, r_lower in key_rate_scan(g, d, part, grid):
-            rows.append((d, n, p, i_total, r_lower))
-            closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))
-            deviation = max(deviation, abs(i_total - closed))
     manifest = _manifest("fig4", {"d": dims, "n": n, "p_max": p_max, "steps": steps})
-    _emit(_csv_document(manifest, ["d", "N", "p", "i_total", "r_lower"], rows), out)
+    deviation = 0.0
+
+    def document():
+        nonlocal deviation
+        yield _csv_document(manifest, ["d", "N", "p", "i_total", "r_lower"], [])
+        for d in dims:
+            rows = key_rate_scan(g, d, part, grid)
+            for start in range(0, steps, CSV_CHUNK_ROWS):
+                chunk = rows[start:start + CSV_CHUNK_ROWS]
+                closed = 2 * (np.log2(d) - disturbance_entropy(chunk[:, 0] * (d - 1) / d, d))
+                deviation = max(deviation, float(np.max(np.abs(chunk[:, 1] - closed))))
+                yield (f"{d},{n},%r,%r,%r\n" * len(chunk)) % tuple(chunk.ravel().tolist())
+
+    _emit(document(), out)
     if deviation > 1e-9:
         _refuse(f"closed-form deviation {deviation} exceeds 1e-9", EXIT_INVARIANT)
 
@@ -236,7 +247,7 @@ def fig5(d_list, out):
     part = Bipartition.from_side_a(g, {1})
     rows = [(d, noise_threshold(g, d, part)) for d in dims]
     manifest = _manifest("fig5", {"d": dims})
-    _emit(_csv_document(manifest, ["d", "p_noise"], rows), out)
+    _emit([_csv_document(manifest, ["d", "p_noise"], rows)], out)
 
 
 @main.command()
@@ -247,7 +258,7 @@ def dc(d_list, out):
     dims = _parse_d_list(d_list)
     rows = [(d, critical_disturbance(d)) for d in dims]
     manifest = _manifest("dc", {"d": dims})
-    _emit(_csv_document(manifest, ["d", "D_c"], rows), out)
+    _emit([_csv_document(manifest, ["d", "D_c"], rows)], out)
 
 
 @main.command()
@@ -277,7 +288,7 @@ def nosharing(d, samples, seed, out):
         "violations": violations,
         "manifest": _manifest("nosharing", {"d": d, "samples": samples}, seed=seed),
     }
-    _emit(json.dumps(payload, indent=2) + "\n", out)
+    _emit([json.dumps(payload, indent=2) + "\n"], out)
     if violations:
         raise SystemExit(EXIT_INVARIANT)
 

@@ -49,7 +49,13 @@ class ProtocolConfig:
 
 
 JSONL_CHUNK_ROWS = 4096
+# Rows of a chunk whose NUL cells one bytes.replace deletes; the pieces are joined.
+JSONL_PIECE_ROWS = 512
 COUNT_CHUNK_ROUNDS = 1 << 16
+# Largest cumulative table that sampling scans entry by entry rather than
+# binary-searching: at 64 entries the scan took half the time of
+# searchsorted, and they cross near 150 (25k samples, 2-CPU VM).
+SCAN_CDF_ENTRIES = 64
 _KEYS = [
     np.frombuffer(text, dtype=np.uint8)
     for text in (b'{"round": ', b', "ma": ', b', "mb": ', b', "a": ', b', "b": ', b', "sifted": ')
@@ -76,54 +82,73 @@ class Transcript:
     def sifted_tables(self) -> np.ndarray:
         """Sifted (a, b) counts of both settings, shape (2, d, d), under one ``bincount`` key.
 
-        Sifted rounds have equal settings, so each round is keyed by
-        ``(setting_a - 1, a, b)`` in the narrowest type that holds the key;
-        the sifted keys are counted ``COUNT_CHUNK_ROUNDS`` at a time, so the
-        intp copy that ``bincount`` makes stays bounded.
+        Each round is keyed by its setting pair and outcomes in the narrowest
+        type that holds the key, and every round is counted, so no mask picks
+        out the sifted ones: theirs are the pairs (1, 1) and (2, 2).  The keys
+        are counted ``COUNT_CHUNK_ROUNDS`` at a time, so the intp copy that
+        ``bincount`` makes stays bounded.
         """
         d = self.d
-        key = self.setting_a.astype(np.min_scalar_type(2 * d * d - 1))
-        key -= 1
+        key = self.setting_a.astype(np.min_scalar_type(4 * d * d - 1))
+        key *= 2
+        key += self.setting_b.astype(key.dtype, copy=False)
+        key -= 3  # the pairs (1, 1), (1, 2), (2, 1), (2, 2) as 0, 1, 2, 3
         key *= d
         key += self.outcome_a.astype(key.dtype, copy=False)
         key *= d
         key += self.outcome_b.astype(key.dtype, copy=False)
-        key = key[self.sifted]
-        counts = np.zeros(2 * d * d, dtype=np.intp)
+        counts = np.zeros(4 * d * d, dtype=np.intp)
         for start in range(0, len(key), COUNT_CHUNK_ROUNDS):  # bincount widens each slice to intp
-            counts += np.bincount(key[start:start + COUNT_CHUNK_ROUNDS], minlength=2 * d * d)
-        return counts.reshape(2, d, d)
+            counts += np.bincount(key[start:start + COUNT_CHUNK_ROUNDS], minlength=4 * d * d)
+        return counts.reshape(4, d, d)[[0, 3]]
 
     def to_jsonl(self, stream) -> None:
-        """One JSON record per round, in ``json.dumps`` layout, one ``stream.write`` per chunk.
+        """One JSON record per round, in ``json.dumps`` layout, to a binary stream.
 
-        A chunk holds at most ``JSONL_CHUNK_ROWS`` rounds and ends where the
-        round number gains a digit.
+        Each chunk is one ``stream.write`` of ASCII bytes.  A chunk holds at
+        most ``JSONL_CHUNK_ROWS`` rounds and ends where the round number gains
+        a digit.  Every chunk is formatted in one byte buffer, sized for the
+        widest chunk.
         """
         columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
         start, rounds = 0, len(self.sifted)
+        if not rounds:
+            return
+        widths = [len(str(rounds - 1))] + [len(str(int(c.max()))) for c in columns]
+        buffer = np.empty(min(rounds, JSONL_CHUNK_ROWS) * len(_template(widths)), dtype=np.uint8)
         while start < rounds:
             stop = min(start + JSONL_CHUNK_ROWS, rounds, 10 ** len(str(start)))
-            stream.write(_jsonl_rows(start, [c[start:stop] for c in columns], self.sifted[start:stop]))
+            chunk = [c[start:stop] for c in columns]
+            stream.write(_jsonl_rows(start, chunk, self.sifted[start:stop], buffer))
             start = stop
 
 
-def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray) -> str:
+def _template(widths) -> np.ndarray:
+    """The cells of one record whose integer fields have these widths, digit cells NUL."""
+    return np.concatenate(
+        [np.concatenate([key, np.zeros(width, np.uint8)]) for key, width in zip(_KEYS, widths)]
+        + [_KEYS[-1], _ENDS[0]]
+    )
+
+
+def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray, buffer: np.ndarray) -> bytes:
     """The records of rounds ``first_round, ...``, whose round numbers share one width.
 
-    Each row of a byte matrix holds one record with every integer at the
-    widest width of its field in the chunk, digits right-aligned.  The unused
-    leading digit cells and the cell before ``true}`` hold NUL, which one
-    ``bytes.replace`` deletes.
+    Each row of a byte matrix, laid out at the start of ``buffer``, holds one
+    record with every integer at the widest width of its field in the chunk,
+    digits right-aligned.  The unused leading digit cells and the cell before
+    ``true}`` hold NUL, which ``bytes.replace`` deletes, ``JSONL_PIECE_ROWS``
+    rows at a time.  The reused buffer and the small pieces keep the chunk
+    from faulting in fresh pages: a new matrix and a chunk-sized copy beside
+    its NUL-free copy made glibc's allocator hand back and fault in again
+    some hundred pages a chunk.
     """
     last_round = first_round + len(sifted) - 1
     values = [np.arange(first_round, last_round + 1, dtype=np.min_scalar_type(last_round)), *columns]
     widths = [len(str(int(v.max()))) for v in values]
-    template = np.concatenate(
-        [np.concatenate([key, np.zeros(width, np.uint8)]) for key, width in zip(_KEYS, widths)]
-        + [_KEYS[-1], _ENDS[0]]
-    )
-    rows = np.tile(template, (len(sifted), 1))
+    template = _template(widths)
+    rows = buffer[:len(sifted) * len(template)].reshape(len(sifted), len(template))
+    rows[...] = template
     col = 0
     for field, (key, v, width) in enumerate(zip(_KEYS, values, widths)):
         col += len(key) + width
@@ -136,7 +161,8 @@ def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray) -> str:
             v = rest
     col += len(_KEYS[-1])
     rows[sifted, col:] = _ENDS[1]
-    return rows.tobytes().replace(b"\0", b"").decode("ascii")
+    pieces = range(0, len(rows), JSONL_PIECE_ROWS)
+    return b"".join([rows[i:i + JSONL_PIECE_ROWS].tobytes().replace(b"\0", b"") for i in pieces])
 
 
 @dataclass(frozen=True)
@@ -152,20 +178,17 @@ _PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model."""
-    tables = {}
     if cfg.cloner_disturbance is None:
         settings = checked_settings(cfg.graph, cfg.d, cfg.part)
-        for ma, mb in _PAIRS:
-            tables[(ma, mb)] = stabilizer_table(
-                cfg.graph, cfg.d, settings[ma - 1], settings[mb - 1], cfg.part, cfg.noise_p
-            )
+        pairs = [(settings[ma - 1], settings[mb - 1]) for ma, mb in _PAIRS]
+        stack = stabilizer_table(cfg.graph, cfg.d, pairs, cfg.part, cfg.noise_p)
     else:
         two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs
         QuditRegister(4, cfg.d)  # the cloner's registers, refused before the d x d gamma table
         output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
-        for ma, mb in _PAIRS:
-            tables[(ma, mb)] = mix_white_noise(measured_joint(output, ma, mb), cfg.noise_p)
-    return tables
+        joints = np.stack([measured_joint(output, ma, mb) for ma, mb in _PAIRS])
+        stack = mix_white_noise(joints, cfg.noise_p)
+    return dict(zip(_PAIRS, stack))
 
 
 def _cdf(table: np.ndarray) -> np.ndarray:
@@ -177,6 +200,21 @@ def _cdf(table: np.ndarray) -> np.ndarray:
     cdf = np.cumsum(flat / total)
     cdf /= cdf[-1]
     return cdf
+
+
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``cdf.searchsorted(u, side="right")``: how many entries of the sorted ``cdf`` each sample reaches.
+
+    A short table is scanned, one vectorised comparison per entry: no
+    data-dependent branch, where the binary search mispredicts on random
+    samples.  Its last entry is 1 and every sample is below it.
+    """
+    if len(cdf) > SCAN_CDF_ENTRIES:
+        return cdf.searchsorted(u, side="right")
+    index = np.zeros(len(u), dtype=np.uint8)
+    for c in cdf[:-1]:
+        index += u >= c
+    return index
 
 
 def run_protocol(cfg: ProtocolConfig) -> Transcript:
@@ -198,10 +236,9 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     code = ma * 2 + mb  # 3, 4, 5, 6 in the order of _PAIRS
     flat = np.empty(cfg.rounds, dtype=np.min_scalar_type(d * d - 1))
     for key, cdf in enumerate(cdfs, start=3):
-        mask = code == key
-        count = np.count_nonzero(mask)
-        if count:
-            flat[mask] = cdf.searchsorted(rng.random(count), side="right")
+        index = np.flatnonzero(code == key)
+        if len(index):
+            flat[index] = _draw(cdf, rng.random(len(index)))
     a_out = np.empty(cfg.rounds, dtype=column)
     b_out = np.empty(cfg.rounds, dtype=column)
     np.divmod(flat, d, out=(a_out, b_out))
@@ -217,18 +254,16 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
 
 def estimate_rates(t: Transcript, d: int) -> RateEstimate:
     """Plug-in mutual-information estimate from sifted empirical frequencies."""
-    i_hat = 0.0
-    rounds = []
-    for m, counts in enumerate(t.sifted_tables(), start=1):
-        total = int(counts.sum())
+    counts = t.sifted_tables()
+    rounds = tuple(counts.sum(axis=(1, 2)).tolist())
+    for m, total in enumerate(rounds, start=1):
         if total == 0:
             raise InsufficientData(f"no sifted rounds for setting m={m}")
-        rounds.append(total)
-        i_hat += mutual_information(counts / total)
+    i_hat = sum(mutual_information(counts / np.reshape(rounds, (2, 1, 1))).tolist())
     threshold = float(np.log2(d))
     return RateEstimate(
-        i_hat_total=float(i_hat),
+        i_hat_total=i_hat,
         r_hat_lower=max(0.0, i_hat - threshold),
-        sifted_rounds=tuple(rounds),
+        sifted_rounds=rounds,
         steerable_hat=i_hat > threshold,
     )

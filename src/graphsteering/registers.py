@@ -71,7 +71,8 @@ class PureState:
                 f"({self.register.total_dim},)"
             )
         norm_sq = float(np.vdot(amps, amps).real)
-        if abs(norm_sq - 1.0) > 1e-12:
+        # a sum of dim squares may be off by up to about dim * eps in round-off
+        if abs(norm_sq - 1.0) > max(ATOL_ALGEBRA, amps.size * np.finfo(float).eps):
             raise ValueError(f"state is not normalized: |psi|^2 = {norm_sq}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)

@@ -417,16 +417,18 @@ def joint_distribution(
     return table
 
 
-def mix_white_noise(table: np.ndarray, p: float) -> np.ndarray:
+def mix_white_noise(table: np.ndarray, p) -> np.ndarray:
     """Joint table of the state mixed with white noise at intensity p.
 
     Each side's effects are d projectors of equal trace (the forms are
     surjective), so the maximally mixed state contributes exactly 1/d^2 to
-    every entry: P_p = (1-p) P + p / d^2.
+    every entry: P_p = (1-p) P + p / d^2, with d^2 the size of the last two
+    axes, so ``table`` may be a stack of tables and ``p`` an array that
+    broadcasts against it.
     """
-    if not 0.0 <= p <= 1.0:
+    if not np.all((0.0 <= p) & (p <= 1.0)):  # a NaN fails too
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
-    return (1.0 - p) * table + p / table.size
+    return (1.0 - p) * table + p / (table.shape[-2] * table.shape[-1])
 
 
 def characteristic_table(
@@ -443,53 +445,69 @@ def characteristic_table(
     matrix.  Outcome o weighs omega^(c o) as Z^c does on a computational
     vertex and as X^(-c) does on a Fourier one (outcome o is F|o>), so
     z_v = e_v and u_v = -e_v with e_v = c s on side A and c t on side B.
+
+    Every e_v is an integer multiple of s or t, so each residual
+    (z - Gamma u)_w is alpha s + beta t and q(u) is gamma s^2 + delta s t +
+    eps t^2.  The edges add up those integers; the d x d array is built once,
+    from the distinct (alpha, beta) mod d.
     """
     a_vertices, b_vertices = tuple(sorted(part.side_a)), tuple(sorted(part.side_b))
     if setting_a.a_vertices != a_vertices or setting_b.b_vertices != b_vertices:
         raise ValueError("setting vertices do not match the bipartition")
     if not (_surjective(setting_a.fa_coeffs, d) and _surjective(setting_b.fb_coeffs, d)):
         raise ValueError("correlation forms must be surjective onto Z_d")
-    s, t = np.indices((d, d))
-    fourier, residual = {}, {}  # e_v of Fourier reads; (z - Gamma u)_w at every w
-    for setting, vertices, coeffs, var in (
-        (setting_a, a_vertices, setting_a.fa_coeffs, s),
-        (setting_b, b_vertices, setting_b.fb_coeffs, t),
+    fourier, residual = {}, {}  # (alpha, beta) of e_v at Fourier reads; of (z - Gamma u)_w at every w
+    for setting, vertices, coeffs, unit in (
+        (setting_a, a_vertices, setting_a.fa_coeffs, (1, 0)),
+        (setting_b, b_vertices, setting_b.fb_coeffs, (0, 1)),
     ):
         for v, c in zip(vertices, coeffs):
             if c % d:
-                (fourier if setting.local_bases[v] == FOURIER else residual)[v] = c * var
-    q = 0  # q(u) = sum over edges of u_i u_j = e_i e_j
+                (fourier if setting.local_bases[v] == FOURIER else residual)[v] = (c * unit[0], c * unit[1])
+    gamma = delta = eps = 0  # q(u) = sum over edges of u_i u_j = e_i e_j
     for i, j in g.edges:
         e_i, e_j = fourier.get(i), fourier.get(j)
         if e_i is not None:
-            residual[j] = residual.get(j, 0) + e_i
+            alpha, beta = residual.get(j, (0, 0))
+            residual[j] = (alpha + e_i[0], beta + e_i[1])
         if e_j is not None:
-            residual[i] = residual.get(i, 0) + e_j
+            alpha, beta = residual.get(i, (0, 0))
+            residual[i] = (alpha + e_j[0], beta + e_j[1])
             if e_i is not None:
-                q = q + e_i * e_j
+                gamma += e_i[0] * e_j[0]
+                delta += e_i[0] * e_j[1] + e_i[1] * e_j[0]
+                eps += e_i[1] * e_j[1]
+    s, t = np.arange(d)[:, None], np.arange(d)  # broadcast to the d x d grid
     allowed = np.ones((d, d), dtype=bool)
-    for r in residual.values():
-        allowed &= r % d == 0
+    for alpha, beta in {(alpha % d, beta % d) for alpha, beta in residual.values()} - {(0, 0)}:
+        allowed &= (alpha * s + beta * t) % d == 0
+    q = 0
+    if (gamma % d, delta % d, eps % d) != (0, 0, 0):
+        q = (gamma % d) * s * s + (delta % d) * s * t + (eps % d) * t * t
     return np.where(allowed, np.exp(-2j * np.pi * (q % d) / d), 0.0)
 
 
 def stabilizer_table(
     g: Graph,
     d: int,
-    setting_a: MeasurementSetting,
-    setting_b: MeasurementSetting,
+    pairs,
     part: Bipartition,
     p: float = 0.0,
 ) -> np.ndarray:
-    """P(a, b) for A measuring ``setting_a`` and B ``setting_b`` on the graph state of g.
+    """P(a, b) for A measuring ``setting_a`` and B ``setting_b``, for each pair, on the graph state of g.
 
-    The 2-D DFT of ``characteristic_table`` over d^2: O(d^2 (N + |E|)) work and
-    no state vector.  Round-off entries near -1e-17 are clipped at 0 before
-    white noise is mixed in.
+    ``pairs`` lists (setting_a, setting_b); the result is their (k, d, d)
+    stack, in that order.  Each table is the 2-D DFT of its
+    ``characteristic_table`` over d^2, with no state vector.  One DFT, one
+    check and one clip serve the whole stack: round-off entries near -1e-17
+    are clipped at 0 before white noise is mixed in.
     """
-    table = np.fft.fft2(characteristic_table(g, d, setting_a, setting_b, part)).real / d ** 2
-    if abs(table.sum() - 1.0) > 1e-10:
-        raise ValueError(f"joint distribution sums to {table.sum()}")
-    if np.min(table) < -1e-12:
-        raise ValueError(f"joint distribution has entry {np.min(table)} below -1e-12")
-    return mix_white_noise(np.clip(table, 0.0, None), p)
+    chi = np.stack([characteristic_table(g, d, sa, sb, part) for sa, sb in pairs])
+    tables = np.fft.fft2(chi).real / d ** 2
+    sums = tables.sum(axis=(-2, -1))
+    off = np.abs(sums - 1.0) > 1e-10
+    if off.any():
+        raise ValueError(f"joint distribution sums to {sums[off][0]}")
+    if np.min(tables) < -1e-12:
+        raise ValueError(f"joint distribution has entry {np.min(tables)} below -1e-12")
+    return mix_white_noise(np.clip(tables, 0.0, None), p)

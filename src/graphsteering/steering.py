@@ -16,6 +16,8 @@ STEERING_MARGIN = 1e-10
 # Bracket widths at which the bisections for p_noise and D_c stop.
 NOISE_THRESHOLD_TOL = 1e-8
 CRITICAL_DISTURBANCE_TOL = 1e-9
+# Table entries a key_rate_scan chunk mixes at once: 4096 p values at d=2.
+SCAN_CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,7 @@ def steering_statistic(
     g: Graph, d: int, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
     """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor."""
-    i_per = tuple(
-        mutual_information(stabilizer_table(g, d, s, s, part, p)) for s in settings
-    )
+    i_per = tuple(mutual_information(stabilizer_table(g, d, [(s, s) for s in settings], part, p)).tolist())
     i_total = float(sum(i_per))
     threshold = float(np.log2(d))
     margin = i_total - threshold
@@ -77,12 +77,15 @@ def steering_statistic(
 
 
 def _noiseless_tables(g: Graph, d: int, part: Bipartition):
-    """One noiseless joint table per setting."""
-    return [stabilizer_table(g, d, s, s, part) for s in checked_settings(g, d, part)]
+    """The (2, d, d) stack of noiseless joint tables, one per setting."""
+    return stabilizer_table(g, d, [(s, s) for s in checked_settings(g, d, part)], part)
 
 
-def _noisy_i_total(tables, p: float) -> float:
-    return float(sum(mutual_information(mix_white_noise(t, p)) for t in tables))
+def _noisy_i_total(tables, p):
+    """Total information of the setting tables mixed at noise p: one float p, or each of a 1-D array."""
+    if np.ndim(p):
+        p = p[:, None, None, None]
+    return mutual_information(mix_white_noise(tables, p)).sum(axis=-1)
 
 
 def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
@@ -95,7 +98,7 @@ def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     threshold = np.log2(d)
 
     def excess(p: float) -> float:
-        return _noisy_i_total(tables, p) - threshold
+        return float(_noisy_i_total(tables, p)) - threshold
 
     lo, hi = 0.0, 1.0
     f_lo, f_hi = excess(lo), excess(hi)
@@ -113,16 +116,19 @@ def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     return 0.5 * (lo + hi)
 
 
-def disturbance_entropy(D: float, d: int) -> float:
-    """H(D) = -(1-D) log2(1-D) - D log2(D / (d-1))."""
-    if not 0.0 <= D <= 1.0:
+def disturbance_entropy(D, d: int):
+    """H(D) = -(1-D) log2(1-D) - D log2(D / (d-1)), elementwise over an array D.
+
+    A scalar D gives a float.
+    """
+    D = np.asarray(D, dtype=float)
+    if not np.all((0.0 <= D) & (D <= 1.0)):
         raise ValueError(f"disturbance must be in [0, 1], got {D}")
-    out = 0.0
-    if 0.0 < D:
-        out -= D * np.log2(D / (d - 1))
-    if D < 1.0:
-        out -= (1.0 - D) * np.log2(1.0 - D)
-    return float(out)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the 0 log 0 terms, replaced by 0
+        shift = np.where(0.0 < D, D * np.log2(D / (d - 1)), 0.0)
+        stay = np.where(D < 1.0, (1.0 - D) * np.log2(1.0 - D), 0.0)
+    out = (0.0 - shift) - stay
+    return float(out) if out.ndim == 0 else out
 
 
 def critical_disturbance(d: int) -> float:
@@ -144,18 +150,25 @@ def critical_disturbance(d: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid):
+def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
     """Rows (p, i_total, r_lower) over a noise grid, sharing one derived setting.
 
-    r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).
+    r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).  The
+    rows form an (n, 3) array.  Each chunk of p values mixes the two
+    noiseless tables into one (chunk, 2, d, d) stack of at most about
+    ``SCAN_CHUNK_ENTRIES`` entries, whose information is one stacked
+    ``mutual_information`` call.
     """
-    p_grid = list(p_grid)
-    if any(not 0.0 <= p <= 1.0 for p in p_grid):
+    p_grid = np.asarray(p_grid, dtype=float).reshape(-1)
+    if not np.all((0.0 <= p_grid) & (p_grid <= 1.0)):
         raise ValueError("noise grid must lie in [0, 1]")
     tables = _noiseless_tables(g, d, part)
     threshold = float(np.log2(d))
-    rows = []
-    for p in p_grid:
+    rows = np.empty((len(p_grid), 3))
+    chunk = max(1, SCAN_CHUNK_ENTRIES // tables.size)
+    for start in range(0, len(p_grid), chunk):
+        p = p_grid[start:start + chunk]
         i_total = _noisy_i_total(tables, p)
-        rows.append((float(p), i_total, max(0.0, i_total - threshold)))
+        excess = i_total - threshold
+        rows[start:start + chunk] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
     return rows

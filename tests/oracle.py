@@ -1,9 +1,11 @@
 """Slow references for the fast production paths.
 
 The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
-small N only), the edge-scanning two-coloring, the per-record transcript
-writer, the ``Generator.choice`` sampler and masked counts of the
-protocol simulation, and the partial trace of a density operator.
+small N only), the characteristic function built one d x d array per edge,
+one table at a time through the DFT, the entropies and the key-rate scan,
+the edge-scanning two-coloring, the per-record transcript writer, the
+``Generator.choice`` sampler and masked counts of the protocol simulation,
+and the partial trace of a density operator.
 """
 
 import json
@@ -15,6 +17,7 @@ from graphsteering import protocol
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
 from graphsteering.registers import DensityOperator, QuditRegister
 from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
+from graphsteering.steering import checked_settings
 
 
 def _form_values(coeffs, d: int) -> np.ndarray:
@@ -59,6 +62,77 @@ def outcome_table(psi, setting_a, setting_b, part, p: float = 0.0) -> np.ndarray
     if abs(table.sum() - 1.0) > 1e-10:
         raise ValueError(f"joint distribution sums to {table.sum()}")
     return mix_white_noise(table.reshape(d, d), p)
+
+
+def edge_characteristic_table(g, d: int, setting_a, setting_b, part) -> np.ndarray:
+    """``schmidt.characteristic_table`` with every residual and q(u) kept as d x d arrays.
+
+    Each e_v is the array c s or c t, and every edge adds one array to a
+    residual, and one more to q where it joins two Fourier reads.
+    """
+    a_vertices, b_vertices = tuple(sorted(part.side_a)), tuple(sorted(part.side_b))
+    if setting_a.a_vertices != a_vertices or setting_b.b_vertices != b_vertices:
+        raise ValueError("setting vertices do not match the bipartition")
+    if not (_surjective(setting_a.fa_coeffs, d) and _surjective(setting_b.fb_coeffs, d)):
+        raise ValueError("correlation forms must be surjective onto Z_d")
+    s, t = np.indices((d, d))
+    fourier, residual = {}, {}
+    for setting, vertices, coeffs, var in (
+        (setting_a, a_vertices, setting_a.fa_coeffs, s),
+        (setting_b, b_vertices, setting_b.fb_coeffs, t),
+    ):
+        for v, c in zip(vertices, coeffs):
+            if c % d:
+                (fourier if setting.local_bases[v] == FOURIER else residual)[v] = c * var
+    q = 0
+    for i, j in g.edges:
+        e_i, e_j = fourier.get(i), fourier.get(j)
+        if e_i is not None:
+            residual[j] = residual.get(j, 0) + e_i
+        if e_j is not None:
+            residual[i] = residual.get(i, 0) + e_j
+            if e_i is not None:
+                q = q + e_i * e_j
+    allowed = np.ones((d, d), dtype=bool)
+    for r in residual.values():
+        allowed &= r % d == 0
+    return np.where(allowed, np.exp(-2j * np.pi * (q % d) / d), 0.0)
+
+
+def pair_table(g, d: int, setting_a, setting_b, part, p: float = 0.0) -> np.ndarray:
+    """One pair's joint table: its own DFT, checks, clip and noise mix."""
+    table = np.fft.fft2(edge_characteristic_table(g, d, setting_a, setting_b, part)).real / d ** 2
+    if abs(table.sum() - 1.0) > 1e-10:
+        raise ValueError(f"joint distribution sums to {table.sum()}")
+    if np.min(table) < -1e-12:
+        raise ValueError(f"joint distribution has entry {np.min(table)} below -1e-12")
+    return mix_white_noise(np.clip(table, 0.0, None), p)
+
+
+def entropy(p) -> float:
+    """-sum p log2 p over the positive entries of one table."""
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log2(nz)))
+
+
+def table_mutual_information(joint) -> float:
+    """I(A;B) of one 2-D table: checked, clipped, then H(A) + H(B) - H(A,B)."""
+    joint = np.asarray(joint, dtype=float)
+    if np.min(joint) < -1e-12 or abs(joint.sum() - 1.0) > 1e-10:
+        raise ValueError("not a probability table")
+    joint = np.clip(joint, 0.0, None)
+    return entropy(joint.sum(axis=1)) + entropy(joint.sum(axis=0)) - entropy(joint)
+
+
+def key_rate_rows(g, d: int, part, p_grid) -> list:
+    """(p, i_total, r_lower) one noise level and one table at a time."""
+    tables = [pair_table(g, d, s, s, part) for s in checked_settings(g, d, part)]
+    threshold = float(np.log2(d))
+    rows = []
+    for p in p_grid:
+        i_total = float(sum(table_mutual_information(mix_white_noise(t, p)) for t in tables))
+        rows.append((float(p), i_total, max(0.0, i_total - threshold)))
+    return rows
 
 
 def edge_scan_two_color(g) -> TwoColoring:

@@ -48,7 +48,7 @@ def test_traced_transcript_bytes_match_file(tmp_path):
     g = make_star(3)
     t = run_protocol(ProtocolConfig(g, 2, Bipartition.from_side_a(g, {1}), rounds=30_000, seed=7))
     path = tmp_path / "t.jsonl"
-    with open(path, "w") as handle:
+    with open(path, "wb") as handle:
         traced(t, handle)
     (span,) = tracer.spans
     assert span[tracing.ATTRS]["bytes"] == path.stat().st_size > 0

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,38 @@ def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
     path.write_text('{"n":3,"d":2,"edges":[[1,2],[2,3],[3,1]]}')
     return str(path)
+
+
+CHILD = (
+    "import resource, sys\n"
+    "from graphsteering.cli import main\n"
+    "try:\n"
+    "    main(sys.argv[1:])\n"
+    "finally:\n"
+    "    vm_peak = open('/proc/self/status').read().split('VmPeak:')[1].split()[0]\n"
+    "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, vm_peak, file=sys.stderr)\n"
+)
+
+
+def run_child(args, address_space=None):
+    """One command in a fresh interpreter, stdout discarded; its stderr ends with its peak RSS and VM.
+
+    With ``address_space``, the child's RLIMIT_AS is set to that many bytes
+    before it starts.
+    """
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-c", CHILD, *args],
+        stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": SRC}, preexec_fn=limit if address_space else None,
+    )
+
+
+def peaks(proc):
+    """(peak RSS, peak VM) of a finished child, in bytes: it reports both in KiB on Linux."""
+    return [int(kib) * 1024 for kib in proc.stderr.split()[-2:]]
 
 
 def parse_csv(text):
@@ -255,6 +288,13 @@ class TestFig4:
         res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest + 1)])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --steps")
+
+    def test_measured_peak_per_row_within_bound(self):
+        # the ru_maxrss slope of `fig4 --d 2` between two step counts, one output row a step
+        small, large = (2 ** 17, 2 ** 19)
+        rss = [peaks(run_child(["fig4", "--d", "2", "--steps", str(steps)]))[0] for steps in (small, large)]
+        slope = (rss[1] - rss[0]) / (large - small)
+        assert slope <= FIG4_BYTES_PER_ROW
 
     def test_bad_ranges_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--n", "1"])
@@ -480,6 +520,31 @@ class TestQss:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert abs(payload["i_hat_total"] - 2 * np.log2(3)) < 0.05
+
+
+class TestLargestAcceptedSizes:
+    """The largest size each bound accepts runs in MAX_STATE_BYTES of address space over a small run's."""
+
+    @pytest.fixture(scope="class")
+    def baseline(self):
+        return peaks(run_child(["fig4", "--d", "2", "--steps", "1"]))[1]
+
+    LARGEST_QSS = ["qss", "--rounds", str(MAX_STATE_BYTES // QSS_BYTES_PER_ROUND)]
+    LARGEST_FIG4 = ["fig4", "--d", "2", "--steps", str(MAX_STATE_BYTES // FIG4_BYTES_PER_ROW)]
+
+    def test_largest_qss_rounds(self, baseline):
+        proc = run_child(self.LARGEST_QSS, baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_largest_fig4_steps(self, baseline):
+        # about 5.6 million rows: 12-21 s on a 2-CPU VM, nearly all of it float formatting
+        proc = run_child(self.LARGEST_FIG4, baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_limit_binds(self, baseline):
+        # the largest qss run needs about half of MAX_STATE_BYTES, so a quarter stops it
+        proc = run_child(self.LARGEST_QSS, baseline + MAX_STATE_BYTES // 4)
+        assert proc.returncode != 0
 
 
 class TestVerify:

@@ -16,6 +16,7 @@ from graphsteering.cloner import phase_covariant_gamma
 from graphsteering.registers import haar_vector
 from graphsteering.schmidt import Povm
 from graphsteering.steering import disturbance_entropy
+from oracle import table_mutual_information
 
 
 def projective_povm(basis):
@@ -85,6 +86,32 @@ class TestMutualInformation:
     def test_round_off_negatives_clipped(self):
         joint = np.array([[0.5, -1e-17], [1e-17, 0.5]])
         assert abs(mutual_information(joint) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_stack_equals_tables_one_at_a_time(self, d):
+        # tables with zeros in varied places (identity, noisy, sparse) next to positive ones
+        rng = np.random.default_rng(d)
+        tables = [np.eye(d) / d, (0.7 * np.eye(d) / d + 0.3 / d ** 2)]
+        for _ in range(40):
+            raw = rng.random((d, d)) * (rng.random((d, d)) < rng.uniform(0.2, 1.0))
+            raw[0, 0] += 0.1
+            tables.append(raw / raw.sum())
+        stack = np.stack(tables)
+        values = mutual_information(stack)
+        assert values.shape == (len(tables),)
+        for value, table in zip(values, tables):
+            assert value == table_mutual_information(table) == mutual_information(table)
+        grid = mutual_information(stack.reshape(6, 7, d, d))
+        np.testing.assert_array_equal(grid.reshape(-1), values)
+
+    def test_stack_with_one_bad_table_refused(self):
+        good = np.eye(2) / 2
+        for bad, message in (
+            ([[0.6, -0.1], [0.25, 0.25]], "negative"),
+            ([[0.5, 0.1], [0.1, 0.5]], "sums to 1.2"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                mutual_information(np.stack([good, np.array(bad), good]))
 
 
 class TestVonNeumannEntropy:

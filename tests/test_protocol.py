@@ -296,9 +296,9 @@ class TestEstimateRates:
 class TestTranscriptExport:
     def test_jsonl_round_trip(self):
         t = run_protocol(star3_config(rounds=50, seed=2))
-        buf = io.StringIO()
+        buf = io.BytesIO()
         t.to_jsonl(buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = buf.getvalue().decode().strip().split("\n")
         assert len(lines) == 50
         for k, line in enumerate(lines):
             rec = json.loads(line)
@@ -348,9 +348,9 @@ class TestTranscriptExport:
         if narrow:  # the column type run_protocol stores
             ma, mb, a, b = (c.astype(np.min_scalar_type(max(2, d - 1))) for c in (ma, mb, a, b))
         t = Transcript(setting_a=ma, setting_b=mb, outcome_a=a, outcome_b=b, sifted=ma == mb, d=d)
-        buf = io.StringIO()
+        buf = io.BytesIO()
         t.to_jsonl(buf)
-        assert buf.getvalue() == jsonl_by_record(t)
+        assert buf.getvalue() == jsonl_by_record(t).encode()
 
     def test_zero_rounds_write_nothing(self):
         empty = np.zeros(0, dtype=np.int64)
@@ -359,22 +359,22 @@ class TestTranscriptExport:
         t.to_jsonl(buf)
         assert buf.getvalue() == ""
 
-    def test_one_str_write_per_chunk(self):
+    def test_one_bytes_write_per_chunk(self):
         class Stream:
             def __init__(self):
                 self.writes = []
 
-            def write(self, text):
-                assert isinstance(text, str)
-                self.writes.append(text)
+            def write(self, data):
+                assert isinstance(data, bytes)
+                self.writes.append(data)
 
         t = run_protocol(star3_config(rounds=3 * JSONL_CHUNK_ROWS, seed=4))
         stream = Stream()
         t.to_jsonl(stream)
         # rounds 0-9, 10-99, 100-999, 1000-9999 (split at the chunk size), 10000-12287
-        sizes = [text.count("\n") for text in stream.writes]
+        sizes = [data.count(b"\n") for data in stream.writes]
         assert sizes == [10, 90, 900, 4096, 4096, 808, 2288]
-        assert "".join(stream.writes) == jsonl_by_record(t)
+        assert b"".join(stream.writes) == jsonl_by_record(t).encode()
 
 
 class TestHigherDimension:

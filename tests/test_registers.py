@@ -5,9 +5,11 @@ import pytest
 
 from graphsteering import (
     DensityOperator,
+    Graph,
     PureState,
     QuditRegister,
     RegisterTooLarge,
+    build_graph_state,
     fourier_op,
 )
 from graphsteering.registers import haar_vector, permute_qudits
@@ -126,6 +128,13 @@ class TestValidation:
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError):
             PureState(QuditRegister(1, 2), np.array([1.0, 1.0]))
+
+    def test_norm_round_off_of_a_large_register_accepted(self):
+        # |psi|^2 sums 6^8 squares and lands 1.1e-12 from 1, past a fixed 1e-12
+        psi = build_graph_state(Graph(8, frozenset({(1, 8)})), 6)
+        assert abs(np.vdot(psi.amplitudes, psi.amplitudes).real - 1.0) > 1e-12
+        with pytest.raises(ValueError, match="not normalized"):
+            PureState(psi.register, psi.amplitudes * (1 + 1e-9))
 
 
 class TestSizeGuard:

@@ -32,7 +32,7 @@ from graphsteering import (
 from graphsteering import schmidt
 from graphsteering.registers import haar_vector, permute_qudits
 from graphsteering.schmidt import COMPUTATIONAL, FOURIER, characteristic_table, side_order
-from oracle import outcome_table
+from oracle import edge_characteristic_table, outcome_table, pair_table
 
 
 def settings_for(g, d, side_a):
@@ -455,16 +455,15 @@ class TestStabilizerTable:
         psi = build_graph_state(g, d)
         for sa in settings:
             for sb in settings:
-                fast = stabilizer_table(g, d, sa, sb, part, p)
+                [fast] = stabilizer_table(g, d, [(sa, sb)], part, p)
                 assert np.max(np.abs(fast - outcome_table(psi, sa, sb, part, p))) < 1e-12
 
     def test_ideal_tables_beyond_state_vector_sizes(self):
         for g, d, side_a in ((make_star(1000), 3, {1}), (make_chain(60), 2, {30})):
             part = Bipartition.from_side_a(g, side_a)
-            for s in derive_both_settings(g, d, part):
-                np.testing.assert_allclose(
-                    stabilizer_table(g, d, s, s, part), np.eye(d) / d, atol=1e-12
-                )
+            pairs = [(s, s) for s in derive_both_settings(g, d, part)]
+            for table in stabilizer_table(g, d, pairs, part):
+                np.testing.assert_allclose(table, np.eye(d) / d, atol=1e-12)
 
     def test_round_off_clipped_at_zero(self):
         # the raw DFT leaves entries near -9e-18 here, which the protocol's sampler refuses
@@ -472,7 +471,7 @@ class TestStabilizerTable:
         part, settings = settings_for(g, 5, {3, 4})
         raw = np.fft.fft2(characteristic_table(g, 5, settings[0], settings[0], part)).real / 25
         assert raw.min() < 0
-        table = stabilizer_table(g, 5, settings[0], settings[0], part)
+        [table] = stabilizer_table(g, 5, [(settings[0], settings[0])], part)
         assert table.min() >= 0
         np.testing.assert_allclose(table, np.eye(5) / 5, atol=1e-12)
 
@@ -482,28 +481,80 @@ class TestStabilizerTable:
         bad = np.array([[0.6, -0.1], [0.25, 0.25]])
         monkeypatch.setattr(schmidt, "characteristic_table", lambda *args: np.fft.ifft2(bad) * 4)
         with pytest.raises(ValueError, match="below -1e-12"):
-            stabilizer_table(g, 2, settings[0], settings[0], part)
+            stabilizer_table(g, 2, [(settings[0], settings[0])], part)
 
     def test_bipartition_mismatch_rejected(self):
         g = make_star(3)
         part, settings = settings_for(g, 2, {1})
         other = Bipartition.from_side_a(g, {1, 2})
         with pytest.raises(ValueError, match="bipartition"):
-            stabilizer_table(g, 2, settings[0], settings[0], other)
+            stabilizer_table(g, 2, [(settings[0], settings[0])], other)
 
     def test_non_surjective_form_rejected(self):
         g = make_star(3)
         part, settings = settings_for(g, 2, {1})
         broken = dataclasses.replace(settings[0], fa_coeffs=(0,))
         with pytest.raises(ValueError, match="surjective"):
-            stabilizer_table(g, 2, broken, settings[0], part)
+            stabilizer_table(g, 2, [(broken, settings[0])], part)
 
     def test_noise_out_of_range_rejected(self):
         g = make_star(3)
         part, settings = settings_for(g, 2, {1})
         for p in (-0.01, 1.01):
             with pytest.raises(ValueError, match="noise"):
-                stabilizer_table(g, 2, settings[0], settings[0], part, p)
+                stabilizer_table(g, 2, [(settings[0], settings[0])], part, p)
+
+
+class TestStackedTables:
+    """Integer-coefficient characteristic functions and stacked tables equal the per-edge, per-pair ones."""
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_edge_and_per_pair_oracles(self, data):
+        d = data.draw(st.integers(2, 7), label="d")
+        g = draw_bipartite_graph(data, 12)
+        part = draw_cut(data, g)
+        p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), label="p")
+        try:
+            settings = list(derive_both_settings(g, d, part))
+        except NoCorrelationForm:
+            settings = []
+        settings.append(draw_setting(data, d, part))
+        # every ordered pair, so (1, 2) and (2, 1), whose Fourier reads an edge may join
+        pairs = list(itertools.product(settings, repeat=2))
+        for sa, sb in pairs:
+            np.testing.assert_array_equal(
+                characteristic_table(g, d, sa, sb, part), edge_characteristic_table(g, d, sa, sb, part)
+            )
+        stack = stabilizer_table(g, d, pairs, part, p)
+        assert stack.shape == (len(pairs), d, d)
+        for table, (sa, sb) in zip(stack, pairs):
+            np.testing.assert_array_equal(table, pair_table(g, d, sa, sb, part, p))
+
+    @pytest.mark.parametrize("d", [3, 4, 5, 6, 7])
+    def test_fourier_reads_joined_across_the_cut(self, d):
+        # star(4) cut at the centre: setting 1 reads the leaves in the Fourier basis and
+        # setting 2 the centre, so the (2, 1) pair reads both ends of every edge that way
+        g = make_star(4)
+        part, settings = settings_for(g, d, {1})
+        for sa, sb in itertools.product(settings, repeat=2):
+            np.testing.assert_array_equal(
+                characteristic_table(g, d, sa, sb, part), edge_characteristic_table(g, d, sa, sb, part)
+            )
+        s1, s2 = settings
+        reads_a = {v for v, c in zip(s2.a_vertices, s2.fa_coeffs) if c and s2.local_bases[v] == FOURIER}
+        reads_b = {v for v, c in zip(s1.b_vertices, s1.fb_coeffs) if c and s1.local_bases[v] == FOURIER}
+        assert any(i in reads_a and j in reads_b for i, j in g.edges)
+
+    def test_one_bad_table_refuses_the_stack(self, monkeypatch):
+        g = make_star(3)
+        part, settings = settings_for(g, 2, {1})
+        good = np.fft.ifft2(np.eye(2) / 2) * 4
+        bad = np.fft.ifft2(np.array([[0.6, 0.1], [0.25, 0.25]])) * 4
+        tables = iter([good, bad])
+        monkeypatch.setattr(schmidt, "characteristic_table", lambda *args: next(tables))
+        with pytest.raises(ValueError, match="sums to 1.2"):
+            stabilizer_table(g, 2, [(settings[0], settings[0])] * 2, part)
 
 
 def exhaustive_forms(g, d, coloring, part, m):
@@ -598,7 +649,7 @@ class TestInformativeForms:
         assert crossed
         psi = build_graph_state(g, d) if d ** g.n_vertices <= 10 ** 5 else None
         for s in settings:
-            table = stabilizer_table(g, d, s, s, part)
+            [table] = stabilizer_table(g, d, [(s, s)], part)
             assert abs(mutual_information(table) - np.log2(d)) < 1e-9
             if psi is not None:
                 assert np.max(np.abs(table - outcome_table(psi, s, s, part))) < 1e-12
@@ -662,7 +713,7 @@ class TestLargeCuts:
         start = time.perf_counter()
         settings = derive_both_settings(g, d, part)
         assert time.perf_counter() - start < 5.0  # a few ms on a 2-CPU VM
-        tables = [stabilizer_table(g, d, s, s, part) for s in settings]
+        tables = stabilizer_table(g, d, [(s, s) for s in settings], part)
         for table in tables:
             np.testing.assert_allclose(table, np.eye(d) / d, atol=1e-12)
         i_total = sum(mutual_information(t) for t in tables)

@@ -19,6 +19,7 @@ from graphsteering import (
 )
 from graphsteering import steering
 from graphsteering.steering import checked_settings
+from oracle import key_rate_rows
 
 
 def binary_search_root(f, lo, hi, tol=1e-12):
@@ -171,6 +172,16 @@ class TestKeyRate:
                 expected_i = noisy_excess(p, d) + np.log2(d)
                 assert abs(i_total - expected_i) < 1e-9
                 assert abs(r_lower - max(0.0, expected_i - np.log2(d))) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_scan_equals_rows_one_at_a_time(self, d):
+        # several chunks at d=2, a p=0 row whose tables hold zeros, and p=1
+        g = make_chain(4)
+        part = Bipartition.from_side_a(g, {1, 2})
+        grid = np.concatenate([np.linspace(0.0, 1.0, 9001), [0.0, 0.5, 1.0]])
+        rows = key_rate_scan(g, d, part, grid)
+        assert rows.shape == (len(grid), 3)
+        assert rows.tolist() == [list(row) for row in key_rate_rows(g, d, part, grid)]
 
     def test_scan_rejects_bad_grid(self):
         g = make_star(3)
