@@ -6,6 +6,7 @@ self-loops or duplicates.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass
@@ -37,10 +38,30 @@ class Graph:
             normalized.add((min(i, j), max(i, j)))
         object.__setattr__(self, "edges", frozenset(normalized))
 
+    @classmethod
+    def _from_checked(cls, n_vertices: int, edges: frozenset) -> Graph:
+        """A graph whose edges are already checked (i < j) pairs within 1..n_vertices."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n_vertices", n_vertices)
+        object.__setattr__(g, "edges", edges)
+        return g
+
+    @functools.cached_property
+    def adjacency(self) -> list:
+        """Neighbour lists indexed by vertex (entry 0 unused), each in the iteration order of ``edges``.
+
+        Built on first use, in O(N + |E|), and shared by every later caller,
+        which must not modify it.  Nothing builds it before the register
+        guard has refused an oversized graph.
+        """
+        adjacency = [[] for _ in range(self.n_vertices + 1)]
+        for i, j in self.edges:
+            adjacency[i].append(j)
+            adjacency[j].append(i)
+        return adjacency
+
     def neighbors(self, v: int) -> frozenset:
-        return frozenset(j for i, j in self.edges if i == v) | frozenset(
-            i for i, j in self.edges if j == v
-        )
+        return frozenset(self.adjacency[v])
 
 
 @dataclass(frozen=True)
@@ -76,17 +97,10 @@ def two_color(g: Graph) -> TwoColoring:
     """Deterministic BFS two-coloring; lowest-indexed root of each component gets 0.
 
     Raises NotTwoColorable with one odd cycle if the graph is not bipartite.
-    Each vertex's neighbours are visited in increasing order; the adjacency
-    lists are built once, in O(N + |E|).
+    Each vertex's neighbours, read from ``g.adjacency``, are visited in
+    increasing order.
     """
-    unordered = [[] for _ in range(g.n_vertices + 1)]
-    for i, j in g.edges:
-        unordered[i].append(j)
-        unordered[j].append(i)
-    adjacency = [[] for _ in range(g.n_vertices + 1)]
-    for v in range(1, g.n_vertices + 1):  # v ascending, so every list comes out sorted
-        for w in unordered[v]:
-            adjacency[w].append(v)
+    adjacency = g.adjacency
     colors: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for root in range(1, g.n_vertices + 1):
@@ -97,7 +111,7 @@ def two_color(g: Graph) -> TwoColoring:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in adjacency[v]:
+            for w in sorted(adjacency[v]):
                 if w not in colors:
                     colors[w] = 1 - colors[v]
                     parent[w] = v
@@ -150,16 +164,13 @@ def make_grid(rows: int, cols: int) -> Graph:
     return Graph(rows * cols, frozenset(edges))
 
 
-def _is_int(x) -> bool:
-    """JSON integer: json.loads gives bool for true/false, which Python counts as int."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def parse_graph(text: str):
     """Parse the JSON graph format {"n": int, "d": int, "edges": [[i,j], ...]}.
 
     Returns (Graph, local_dim).  Raises ValueError with a field diagnostic on
-    malformed input.
+    malformed input.  Each edge is checked here, once, so the Graph is built
+    without checking them again.  ``type(x) is int`` refuses the bools that
+    json.loads gives for true/false, which Python counts as int.
     """
     try:
         doc = json.loads(text)
@@ -171,29 +182,23 @@ def parse_graph(text: str):
         if key not in doc:
             raise ValueError(f"missing field '{key}'")
     n, d, edges = doc["n"], doc["d"], doc["edges"]
-    if not _is_int(n) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"field 'n' must be a positive integer, got {n!r}")
-    if not _is_int(d) or d < 2:
+    if type(d) is not int or d < 2:
         raise ValueError(f"field 'd' must be an integer >= 2, got {d!r}")
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise ValueError("field 'edges' must be a list of [i, j] pairs")
     seen = set()
-    pairs = []
     for k, e in enumerate(edges):
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(_is_int(x) for x in e)
-        ):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise ValueError(f"edges[{k}] must be a pair of integers, got {e!r}")
         i, j = e
         if i == j:
             raise ValueError(f"edges[{k}] is a self-loop at vertex {i}")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(f"edges[{k}] = ({i},{j}) out of range 1..{n}")
-        key = (min(i, j), max(i, j))
+        key = (i, j) if i < j else (j, i)
         if key in seen:
             raise ValueError(f"edges[{k}] duplicates edge ({key[0]},{key[1]})")
         seen.add(key)
-        pairs.append(key)
-    return Graph(n, frozenset(pairs)), d
+    return Graph._from_checked(n, frozenset(seen)), d

@@ -109,10 +109,11 @@ def derive_setting(
     (``_informative``: gcd(c, d) = 1 for the cross-cut vector c).  The
     canonical element is the informative one acting on the fewest vertices
     (ties broken by vertex support, then exponents).  One exists iff some
-    Fourier-measured vertex has a neighbour across the cut, which is checked
-    first, in O(N + |E|).  Prime d searches link-connected position sets
-    (``_connected_search``); composite d keeps the weight-ordered search,
-    since there a gcd can combine entries of c across link components.
+    Fourier-measured vertex has a neighbour across the cut: the crossing
+    edges, read from ``g.adjacency`` at the smaller side, are checked first.
+    Prime d searches link-connected position sets (``_connected_search``);
+    composite d keeps the weight-ordered search, since there a gcd can
+    combine entries of c across link components.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -124,22 +125,20 @@ def derive_setting(
     a_vertices = tuple(sorted(side_a))
     b_vertices = tuple(sorted(part.side_b))
 
-    # No edge joins two Fourier vertices, so every edge has one end in each class.
-    neighbors = {a: [] for a in sorted(v for v, c in coloring.colors.items() if c == fourier_color)}
-    readers = {}  # computational vertex -> its Fourier neighbours
-    for i, j in g.edges:
-        a, b = (i, j) if i in neighbors else (j, i)
-        neighbors[a].append(b)
-        readers.setdefault(b, []).append(a)
+    # No edge joins two Fourier vertices, so every neighbour of a Fourier vertex is
+    # computational, and every neighbour of a computational vertex reads it.
+    adjacency = g.adjacency
+    neighbors = {a: adjacency[a] for a in sorted(v for v, c in coloring.colors.items() if c == fourier_color)}
     # Alone, with exponent 1, a boundary position has c = (1, ..., 1); with none, c = 0 always.
-    boundary = [a for a, nbrs in neighbors.items() if any((b in side_a) != (a in side_a) for b in nbrs)]
+    inner = min(side_a, part.side_b, key=len)
+    boundary = sorted({v if v in neighbors else w for v in inner for w in adjacency[v] if w not in inner})
     if not boundary:
         raise NoCorrelationForm(
             f"no Fourier-measured vertex has a neighbour across the cut A={list(a_vertices)} "
             f"for setting m={m}: no edge crosses the cut, so the state is a product across it"
         )
     if all(d % q for q in range(2, math.isqrt(d) + 1)):  # d is prime
-        best = _connected_search(d, neighbors, readers, side_a, boundary)
+        best = _connected_search(d, neighbors, adjacency, side_a, boundary)
     else:
         best = _weight_ordered_search(d, neighbors, side_a)
     coeff = _coefficients(*best, neighbors)
@@ -446,10 +445,14 @@ def characteristic_table(
     vertex and as X^(-c) does on a Fourier one (outcome o is F|o>), so
     z_v = e_v and u_v = -e_v with e_v = c s on side A and c t on side B.
 
-    Every e_v is an integer multiple of s or t, so each residual
-    (z - Gamma u)_w is alpha s + beta t and q(u) is gamma s^2 + delta s t +
-    eps t^2.  The edges add up those integers; the d x d array is built once,
-    from the distinct (alpha, beta) mod d.
+    The phase never matters: u lives on the Fourier reads, where z = 0, so
+    on an allowed cell (Gamma u)_i = 0 mod d at every Fourier read i.  Every
+    edge joins the two color classes, so q(u) = sum over the reads i of one
+    class of u_i (Gamma u)_i = 0 mod d there, and chi is the indicator of the
+    allowed cells (complex, as the DFT takes it).  Every e_v is an integer
+    multiple of s or t, so each residual (z - Gamma u)_w is alpha s + beta t;
+    the Fourier reads' neighbours add up those integers, and the d x d array
+    is built once, from the distinct (alpha, beta) mod d.
     """
     a_vertices, b_vertices = tuple(sorted(part.side_a)), tuple(sorted(part.side_b))
     if setting_a.a_vertices != a_vertices or setting_b.b_vertices != b_vertices:
@@ -464,27 +467,16 @@ def characteristic_table(
         for v, c in zip(vertices, coeffs):
             if c % d:
                 (fourier if setting.local_bases[v] == FOURIER else residual)[v] = (c * unit[0], c * unit[1])
-    gamma = delta = eps = 0  # q(u) = sum over edges of u_i u_j = e_i e_j
-    for i, j in g.edges:
-        e_i, e_j = fourier.get(i), fourier.get(j)
-        if e_i is not None:
-            alpha, beta = residual.get(j, (0, 0))
-            residual[j] = (alpha + e_i[0], beta + e_i[1])
-        if e_j is not None:
-            alpha, beta = residual.get(i, (0, 0))
-            residual[i] = (alpha + e_j[0], beta + e_j[1])
-            if e_i is not None:
-                gamma += e_i[0] * e_j[0]
-                delta += e_i[0] * e_j[1] + e_i[1] * e_j[0]
-                eps += e_i[1] * e_j[1]
+    adjacency = g.adjacency
+    for v, (alpha_v, beta_v) in fourier.items():
+        for w in adjacency[v]:
+            alpha, beta = residual.get(w, (0, 0))
+            residual[w] = (alpha + alpha_v, beta + beta_v)
     s, t = np.arange(d)[:, None], np.arange(d)  # broadcast to the d x d grid
     allowed = np.ones((d, d), dtype=bool)
     for alpha, beta in {(alpha % d, beta % d) for alpha, beta in residual.values()} - {(0, 0)}:
         allowed &= (alpha * s + beta * t) % d == 0
-    q = 0
-    if (gamma % d, delta % d, eps % d) != (0, 0, 0):
-        q = (gamma % d) * s * s + (delta % d) * s * t + (eps % d) * t * t
-    return np.where(allowed, np.exp(-2j * np.pi * (q % d) / d), 0.0)
+    return allowed.astype(complex)
 
 
 def stabilizer_table(

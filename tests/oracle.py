@@ -146,7 +146,7 @@ def edge_scan_two_color(g) -> TwoColoring:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for w in sorted(g.neighbors(v)):
+            for w in sorted(j if i == v else i for i, j in g.edges if v in (i, j)):
                 if w not in colors:
                     colors[w] = 1 - colors[v]
                     parent[w] = v

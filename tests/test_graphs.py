@@ -183,6 +183,45 @@ class TestParseGraph:
             parse_graph("[" * 100_000)
 
 
+# Each message as parse_graph words it, with the field or edge index it names.
+PARSE_MESSAGES = [
+    ('{"n": 0, "d": 2, "edges": []}', "field 'n' must be a positive integer, got 0"),
+    ('{"n": 3, "d": 1.5, "edges": []}', "field 'd' must be an integer >= 2, got 1.5"),
+    ('{"n": 3, "d": 2, "edges": {}}', "field 'edges' must be a list of [i, j] pairs"),
+    ('{"n": 3, "d": 2, "edges": [[1, 2], [1]]}', "edges[1] must be a pair of integers, got [1]"),
+    ('{"n": 3, "d": 2, "edges": [[1, 2.0]]}', "edges[0] must be a pair of integers, got [1, 2.0]"),
+    ('{"n": 3, "d": 2, "edges": [[1, 2], "ab"]}', "edges[1] must be a pair of integers, got 'ab'"),
+    ('{"n": 3, "d": 2, "edges": [[3, 3]]}', "edges[0] is a self-loop at vertex 3"),
+    ('{"n": 3, "d": 2, "edges": [[0, 0]]}', "edges[0] is a self-loop at vertex 0"),
+    ('{"n": 3, "d": 2, "edges": [[4, 1]]}', "edges[0] = (4,1) out of range 1..3"),
+    ('{"n": 3, "d": 2, "edges": [[1, 2], [3, 1], [2, 1]]}', "edges[2] duplicates edge (1,2)"),
+]
+
+
+class TestParseGraphBuildsGraph:
+    @pytest.mark.parametrize("text, message", PARSE_MESSAGES)
+    def test_message(self, text, message):
+        with pytest.raises(ValueError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+    @hyp_settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_equals_constructed_graph(self, data):
+        # the parse path skips Graph's own edge checks; the result must not tell
+        n = data.draw(st.integers(1, 12), label="n")
+        d = data.draw(st.integers(2, 9), label="d")
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20), label="edges") if pairs else []
+        edges = [[j, i] if data.draw(st.booleans()) else [i, j] for i, j in edges]
+        g, d_parsed = parse_graph(json.dumps({"n": n, "d": d, "edges": edges}))
+        expected = Graph(n, frozenset(map(tuple, edges)))
+        assert (g, d_parsed) == (expected, d)
+        assert all(sorted(a) == sorted(b) for a, b in zip(g.adjacency, expected.adjacency, strict=True))
+        for v in range(1, n + 1):
+            assert g.neighbors(v) == frozenset(j if i == v else i for i, j in g.edges if v in (i, j))
+
+
 class TestBipartition:
     def test_from_side_a(self):
         part = Bipartition.from_side_a(make_star(4), {1, 3})

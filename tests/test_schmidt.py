@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import math
+import random
 import time
 
 import numpy as np
@@ -747,3 +749,55 @@ class TestPinnedLargeCases:
         )
         assert got == expected
 
+
+
+def relabelled(g, seed):
+    perm = list(range(1, g.n_vertices + 1))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n_vertices, frozenset((perm[i - 1], perm[j - 1]) for i, j in g.edges))
+
+
+def pinned_cuts():
+    """Relabelled star, chain and grid at d=2..6: every single-vertex cut, every prefix cut, three random cuts."""
+    rng = random.Random(13)
+    for seed, base in enumerate((make_star(7), make_chain(9), make_grid(3, 3))):
+        g = relabelled(base, seed)
+        n = g.n_vertices
+        cuts = [{v} for v in range(1, n + 1)] + [set(range(1, k + 1)) for k in range(2, n)]
+        cuts += [set(rng.sample(range(1, n + 1), rng.randint(2, n - 2))) for _ in range(3)]
+        for d in range(2, 7):
+            for side_a in cuts:
+                yield g, d, side_a
+
+
+def form_data(settings):
+    return tuple((s.m, s.a_vertices, s.b_vertices, s.fa_coeffs, s.fb_coeffs) for s in settings)
+
+
+# sha256 over the forms of all 265 pinned cuts, in order.
+PINNED_FORMS_DIGEST = "43dd1b093c3e6f729139b1d5496aa088ec5116378023e1f465b2cc07317a96a4"
+
+
+class TestPinnedForms:
+    def test_digest(self):
+        h = hashlib.sha256()
+        for g, d, side_a in pinned_cuts():
+            for form in form_data(derive_both_settings(g, d, Bipartition.from_side_a(g, side_a))):
+                h.update(repr(form).encode())
+        assert h.hexdigest() == PINNED_FORMS_DIGEST
+
+    @hyp_settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_shared_adjacency_matches_fresh_graphs(self, data):
+        # two cuts derived on one Graph, its adjacency built first, give the forms of fresh copies
+        d = data.draw(st.sampled_from(sorted(EXHAUSTIVE_MAX_N)), label="d")
+        g = draw_bipartite_graph(data, EXHAUSTIVE_MAX_N[d])
+        g.adjacency
+        for part in (draw_cut(data, g), draw_cut(data, g)):
+            got, expected = [], []
+            for graph, out in ((g, got), (Graph(g.n_vertices, g.edges), expected)):
+                try:
+                    out.append(form_data(derive_both_settings(graph, d, part)))
+                except NoCorrelationForm as exc:
+                    out.append(str(exc))
+            assert got == expected
