@@ -106,14 +106,13 @@ def derive_setting(
     color-1 in the Fourier basis; m=2 swaps the roles.  The coarse-graining
     forms come from the subgroup generated by the stabilizers of the
     Fourier-measured color class, and only informative elements qualify
-    (``_informative``: gcd(c, d) = 1 for the cross-cut vector c).  The
+    (gcd(c, d) = 1 for the cross-cut vector c, see ``_cross_gcd``).  The
     canonical element is the informative one acting on the fewest vertices
     (ties broken by vertex support, then exponents).  One exists iff some
     Fourier-measured vertex has a neighbour across the cut: the crossing
     edges, read from ``g.adjacency`` at the smaller side, are checked first.
-    Prime d searches link-connected position sets (``_connected_search``);
-    composite d keeps the weight-ordered search, since there a gcd can
-    combine entries of c across link components.
+    Every d is searched by ``_connected_search``, which also joins unlinked
+    sets of positions when d has several distinct primes.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -137,11 +136,7 @@ def derive_setting(
             f"no Fourier-measured vertex has a neighbour across the cut A={list(a_vertices)} "
             f"for setting m={m}: no edge crosses the cut, so the state is a product across it"
         )
-    if all(d % q for q in range(2, math.isqrt(d) + 1)):  # d is prime
-        best = _connected_search(d, neighbors, adjacency, side_a, boundary)
-    else:
-        best = _weight_ordered_search(d, neighbors, side_a)
-    coeff = _coefficients(*best, neighbors)
+    coeff = _coefficients(*_connected_search(d, neighbors, adjacency, side_a, boundary), neighbors)
     fa = tuple([coeff.get(v, 0) % d for v in a_vertices])
     fb = tuple([-coeff.get(v, 0) % d for v in b_vertices])
     return MeasurementSetting(m, local_bases, a_vertices, b_vertices, fa, fb)
@@ -161,8 +156,8 @@ def _coefficients(positions, values, neighbors) -> dict:
     return coeff
 
 
-def _informative(positions, values, neighbors, side_a, d: int) -> bool:
-    """Whether the element's cross-cut vector c has gcd(c, d) = 1.
+def _cross_gcd(positions, values, neighbors, side_a, d: int) -> int:
+    """gcd(d, c) for the element's cross-cut vector c; the element is informative iff it is 1.
 
     c_b sums, at each computational vertex b, the exponents of b's Fourier
     neighbours on the other side of the cut.  With S = S_A (x) S_B, S_A^s is
@@ -178,54 +173,22 @@ def _informative(positions, values, neighbors, side_a, d: int) -> bool:
         for b in neighbors[a]:
             if (b in side_a) != in_a:
                 cross[b] = cross.get(b, 0) + n_a
-    return math.gcd(d, *cross.values()) == 1
-
-
-def _weight_ordered_search(d: int, neighbors: dict, side_a):
-    """Canonical informative (positions, exponents) over all d^k - 1 exponent vectors.
-
-    No edge joins two Fourier vertices, so exponent n_a != 0 puts -n_a on
-    vertex a itself: a vector of Hamming weight w acts on at least w vertices.
-    Visiting weights in increasing order, the search may stop once w exceeds
-    the best support size, and still returns the minimum over all d^k - 1.
-    At w equal to that size a rival acts on its w Fourier vertices alone, and
-    those come in increasing order, so the search also stops once they pass
-    the best support.  A boundary position alone is informative, so the
-    first weight already bounds the search.
-    """
-    generators = list(neighbors)
-    k = len(generators)
-    best_key, best = (math.inf,), None
-    for w in range(1, k + 1):
-        if w > best_key[0]:
-            break
-        for positions in itertools.combinations(generators, w):
-            if w == best_key[0] and positions > best_key[1]:
-                break
-            for values in itertools.product(range(1, d), repeat=w):
-                coeff = _coefficients(positions, values, neighbors)
-                support = tuple(sorted(v for v, c in coeff.items() if c % d))
-                if (len(support), support) > best_key[:2]:
-                    continue
-                n_vec = dict(zip(positions, values))
-                key = (len(support), support, tuple(n_vec.get(a, 0) for a in generators))
-                if key < best_key and _informative(positions, values, neighbors, side_a, d):
-                    best_key, best = key, (positions, values)
-    return best
+    return math.gcd(d, *cross.values())
 
 
 def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
-    """Canonical informative (positions, exponents) for prime d, from link-connected sets.
+    """Canonical informative (positions, exponents), from link-connected sets and their unions.
 
     Two Fourier positions are linked when they share a neighbour.  Sets in
     different link components have disjoint closed neighbourhoods, so each
     adds its own entries to the cross-cut vector c and its own vertices to
-    the support.  For prime d an element is informative iff c != 0, so the
-    minimum is one connected set: dropping a component with c = 0 keeps the
-    element informative and shrinks its support.  That set holds a boundary
-    position, one with a neighbour across the cut, since only those add to
-    c; and each boundary position alone, with exponent 1, is informative and
-    acts on its closed neighbourhood N[a].
+    the support, and the element's gcd(d, c) is the gcd of theirs.  For
+    d = p^k an element is informative iff some entry of c is not divisible
+    by p, and the component holding it is informative alone, so the minimum
+    is one connected set: dropping the other components shrinks the support.
+    That set holds a boundary position, one with a neighbour across the cut,
+    since only those add to c; and each boundary position alone, with
+    exponent 1, is informative and acts on its closed neighbourhood N[a].
 
     The least such singleton bounds the sets of w >= 2 positions.  A set of
     w positions acts on at least those w vertices, so the search stops once
@@ -236,14 +199,18 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
     link distance w - 1 of a boundary position: the sets are grown instead
     under their least member, in increasing order, and the level ends at the
     first root whose w least positions onwards sort after the best support.
+
+    When d has several distinct primes, the minimum can instead be a union of
+    unlinked partial sets: connected sets with 1 < gcd(d, c) < d, each with a
+    boundary position and fewer vertices than the best connected set, which
+    ``_least_key`` collects and ``_least_union`` joins.  Prime d has none.  The
+    positions of the result are the Fourier vertices of its support.
     """
     on_boundary = frozenset(boundary)
-    best_key, best = (math.inf,), None
+    best_key, parts = (math.inf,), []
     for a in boundary:  # whatever the exponent, {a} acts on N[a]
         support = tuple(sorted((a, *neighbors[a])))
-        key = (len(support), support, (1,))
-        if key < best_key:
-            best_key, best = key, (a,)
+        best_key = min(best_key, (len(support), support, (1,)))
     order = list(neighbors)  # every position, ascending
     for w in itertools.count(2):
         if w > best_key[0]:
@@ -265,12 +232,36 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
             grown = True
             if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
                 continue
-            key = _least_key(positions, d, neighbors, side_a, best_key)
-            if key is not None:
-                best_key, best = key, positions
+            best_key = _least_key(positions, d, neighbors, side_a, best_key, parts) or best_key
         if not grown:  # no connected set of w positions, so none of more
             break
-    return best, best_key[2]
+    best_key = _least_union(sorted(parts), best_key) or best_key
+    return tuple(v for v in best_key[1] if v in neighbors), best_key[2]
+
+
+def _least_union(parts, bound, start=0, union=(), reads=frozenset(), g=0):
+    """Least key below ``bound`` of an informative union of unlinked ``parts``, or None.
+
+    ``parts`` holds partial sets (key, positions, neighbours, gcd) in key
+    order.  No part of the least union can be dropped, so each lowers the gcd.
+    """
+    best, size = None, sum(part[0][0] for part in union)
+    for i in range(start, len(parts)):
+        key, _, part_reads, part_g = part = parts[i]
+        if size + key[0] > bound[0]:
+            break  # parts ascend in size
+        h = math.gcd(g, part_g)
+        if h == g or not reads.isdisjoint(part_reads):  # no gain, or linked
+            continue
+        if h > 1:
+            found = _least_union(parts, bound, i + 1, (*union, part), reads | part_reads, h)
+        else:
+            pairs = [p for (*_, values), positions, *_ in (*union, part) for p in zip(positions, values)]
+            support = tuple(sorted(v for (_, vs, _), *_ in (*union, part) for v in vs))
+            found = (len(support), support, tuple(n for _, n in sorted(pairs)))
+        if found and found < bound:
+            bound = best = found
+    return best
 
 
 def _link_ball(seeds, radius, neighbors, readers) -> set:
@@ -296,13 +287,14 @@ def _least_from(order, root, w):
     return tuple(order[i:i + w])
 
 
-def _least_key(positions, d, neighbors, side_a, bound):
+def _least_key(positions, d, neighbors, side_a, bound, parts):
     """Least informative (support size, support, exponents) below ``bound``, or None.
 
     A neighbour read by one position always carries a nonzero coefficient;
     only those read by several can cancel.  With none of those, every choice
     of exponents has the same support, and all ones is the least.  The
-    cross-cut test runs only on a key that beats the bound.
+    cross-cut test runs only on a key that beats the bound, and the least
+    key of each gcd strictly between 1 and d joins ``parts``.
     """
     reads = {}  # computational vertex -> indices of its neighbours among the positions
     for i, a in enumerate(positions):
@@ -318,15 +310,20 @@ def _least_key(positions, d, neighbors, side_a, bound):
     if len(fixed) > bound[0]:
         return None
     w = len(positions)
-    best = None
+    best, least = None, {}  # least partial key per gcd
     for values in itertools.product(range(1, d), repeat=w) if shared else [(1,) * w]:
         support = fixed + [b for b, idx in shared if sum(values[i] for i in idx) % d]
         if len(support) > bound[0]:
             continue
         support = tuple(sorted(support))
         key = (len(support), support, values)
-        if key < bound and _informative(positions, values, neighbors, side_a, d):
-            bound = best = key
+        if key < bound:
+            g = _cross_gcd(positions, values, neighbors, side_a, d)
+            if g == 1:
+                bound = best = key
+            elif g < d and key < least.get(g, bound):
+                least[g] = key
+    parts += [(key, positions, reads.keys(), g) for g, key in least.items()]
     return best
 
 

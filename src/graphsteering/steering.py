@@ -51,7 +51,7 @@ def checked_settings(g: Graph, d: int, part: Bipartition):
     """The two settings, cheapest refusal first.
 
     The register size is checked before the setting search, which is
-    exponential on dense graphs and for composite d, so an oversized graph is
+    exponential on dense graphs such as K_{n,n}, so an oversized graph is
     refused before any search; the search then refuses a graph with an odd
     cycle.
     """

@@ -36,6 +36,7 @@ def check_ideal_correlations():
     cases = [
         (make_star(1000), 3, {1}),
         (make_grid(30, 30), 2, {1, 30}),
+        (make_grid(30, 30), 6, {1, 30}),
         (make_chain(1000), 3, {500}),
         (tree, 2, {4, 5, 6, 7}),  # a product element here has surjective forms and I = 0
     ]

@@ -596,7 +596,7 @@ def exhaustive_forms(g, d, coloring, part, m):
 
 
 # Largest N per d that keeps the reference under 10^4 candidates per setting.
-EXHAUSTIVE_MAX_N = {2: 9, 3: 8, 4: 6, 5: 5, 6: 5}
+EXHAUSTIVE_MAX_N = {2: 9, 3: 8, 4: 6, 5: 5, 6: 5, 10: 4}
 
 
 def assert_matches_exhaustive(g, d, part):
@@ -695,9 +695,32 @@ class TestTwoComponentForms:
             derive_both_settings(g, d, part)
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_union_of_unlinked_sets(self, t):
+        # d=6: positions 1-4, with t middles reading each three of them, cancel their
+        # middles only with equal exponents 2 or 4, so c is even; the triangle 5-7,
+        # with t middles per pair, only with exponents 3, so c is a multiple of 3.
+        # Their union is informative on 7 vertices, where the best connected set
+        # acts on 7 (t=4, with a later support) or 8 (t=5).  Forms of the
+        # exhaustive search (46 s at t=4 and 49 s at t=5 on a 2-CPU VM).
+        groups = [[j for j in range(1, 5) if j != i] for i in range(1, 5)] + [[5, 6], [6, 7], [5, 7]]
+        edges = set()
+        for k, group in enumerate(groups):  # middles from 9 on; vertex 8 is isolated
+            for b in range(9 + k * t, 9 + (k + 1) * t):
+                edges |= {(a, b) for a in group}
+        g = Graph(8 + 7 * t, frozenset(edges))
+        part = Bipartition.from_side_a(g, set(range(1, g.n_vertices + 1)) - {1, 5})
+        coloring = two_color(g)
+        m = 1 if coloring.colors[1] == 1 else 2
+        assert coloring.color_class(1 if m == 1 else 0) == frozenset(range(1, 9))  # middles computational
+        s = derive_setting(g, 6, coloring, part, m)
+        got = (nonzero(s.a_vertices, s.fa_coeffs), nonzero(s.b_vertices, s.fb_coeffs))
+        assert got == ({2: 4, 3: 4, 4: 4, 6: 3, 7: 3}, {1: 2, 5: 3})
 
-# Cuts far beyond the state vector and the weight-ordered search (which ran for
-# over 100 s on chain(1000) and took 13.7 s on grid(30x30) with A={1,30}).
+
+# Cuts far beyond the state vector and any search over all exponent vectors (a
+# weight-ordered one ran for over 100 s on chain(1000) at d=3, and for 1 s on the
+# halves of chain(40) at d=6).
 LARGE_CUTS = [
     pytest.param(make_chain(1000), 3, {500}, id="chain1000-vertex"),
     pytest.param(make_chain(1000), 3, set(range(1, 501)), id="chain1000-halves"),
@@ -705,6 +728,15 @@ LARGE_CUTS = [
     pytest.param(make_grid(30, 30), 2, {1}, id="grid30x30-corner"),
     pytest.param(make_star(1000), 3, {1}, id="star1000-center"),
     pytest.param(make_star(1000), 3, {2}, id="star1000-leaf"),
+    *(
+        pytest.param(g, d, side_a, id=f"{name}-d{d}")
+        for d in (4, 6)
+        for g, side_a, name in (
+            (make_chain(1000), set(range(1, 501)), "chain1000-halves"),
+            (make_grid(30, 30), {1, 30}, "grid30x30-corners"),
+            (make_star(1000), {1}, "star1000-center"),
+        )
+    ),
 ]
 
 
