@@ -45,6 +45,11 @@ EXIT_DERIVATION = 3
 # the p grid and the (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 48
+# Peak memory per entry of a d x d joint table (its characteristic function,
+# DFT, noisy mix and entropies), measured as the ru_maxrss slope over d on the
+# same machine and rounded up: 47.8 bytes an entry for `certify`'s two tables
+# from d=1024 to 2048, 48.3 for `qss`'s four from d=1024 to 1448.
+TABLE_BYTES_PER_ENTRY = 64
 # Output rows formatted and written at a time by `fig4`.
 CSV_CHUNK_ROWS = 4096
 
@@ -60,16 +65,22 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
 
 
 def _atomic_write(path: str, write) -> None:
-    """Call ``write(handle)`` on a binary temp file beside ``path``, then rename it into place."""
+    """Call ``write(handle)`` on a binary temp file beside ``path``, then rename it into place.
+
+    An OSError names ``path``, not the hidden temp file, which is removed.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
         with os.fdopen(fd, "wb") as handle:
             write(handle)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -177,6 +188,7 @@ def certify(graph_file, partition, p, fmt, out):
     """Certify steering of a (noisy) graph state from a graph file."""
     g, d = _load_graph(graph_file)
     QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
+    _bound("d", d, TABLE_BYTES_PER_ENTRY * 2 * d * d)  # one table per setting
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
         _refuse("--p must be in [0, 1]")
@@ -215,6 +227,7 @@ def fig4(d_list, n, p_max, steps, out):
         _refuse("bad ranges")
     _bound("--steps", steps, FIG4_BYTES_PER_ROW * steps * len(dims))
     QuditRegister(n, max(dims))  # size guard before the star lists all n vertices
+    _bound("--d", max(dims), TABLE_BYTES_PER_ENTRY * 2 * max(dims) ** 2)
     g = make_star(n)
     part = Bipartition.from_side_a(g, {1})
     grid = np.linspace(0.0, p_max, steps)
@@ -243,6 +256,7 @@ def fig4(d_list, n, p_max, steps, out):
 def fig5(d_list, out):
     """White-noise tolerance of the steering criterion (CSV: d,p_noise)."""
     dims = _parse_d_list(d_list)
+    _bound("--d", max(dims), TABLE_BYTES_PER_ENTRY * 2 * max(dims) ** 2)
     g = make_star(3)
     part = Bipartition.from_side_a(g, {1})
     rows = [(d, noise_threshold(g, d, part)) for d in dims]
@@ -310,6 +324,7 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     else:
         g, d = make_star(3), 2
     QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
+    _bound("d", d, TABLE_BYTES_PER_ENTRY * 4 * d * d)  # one table per setting pair
     part = _parse_partition(g, partition)
     try:
         cfg = ProtocolConfig(

@@ -60,6 +60,15 @@ class Graph:
             adjacency[j].append(i)
         return adjacency
 
+    @functools.cached_property
+    def coloring(self) -> TwoColoring:
+        """The graph's ``two_color``, run on first use and shared by every later caller.
+
+        A graph with an odd cycle keeps nothing, so each use raises
+        NotTwoColorable again.  Callers must not modify the coloring.
+        """
+        return two_color(self)
+
     def neighbors(self, v: int) -> frozenset:
         return frozenset(self.adjacency[v])
 

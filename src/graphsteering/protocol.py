@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .cloner import cloner_output, measured_joint, phase_covariant_gamma
-from .graphs import Bipartition, Graph, two_color
+from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
 from .registers import QuditRegister
 from .schmidt import mix_white_noise, stabilizer_table
@@ -183,7 +183,7 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
         pairs = [(settings[ma - 1], settings[mb - 1]) for ma, mb in _PAIRS]
         stack = stabilizer_table(cfg.graph, cfg.d, pairs, cfg.part, cfg.noise_p)
     else:
-        two_color(cfg.graph)  # the attacked settings exist only on two-colorable graphs
+        cfg.graph.coloring  # the attacked settings exist only on two-colorable graphs
         QuditRegister(4, cfg.d)  # the cloner's registers, refused before the d x d gamma table
         output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
         joints = np.stack([measured_joint(output, ma, mb) for ma, mb in _PAIRS])

@@ -200,6 +200,20 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
     under their least member, in increasing order, and the level ends at the
     first root whose w least positions onwards sort after the best support.
 
+    Sets are grown depth first by ESU (Wernicke 2006): a set grows only by
+    link neighbours of its newest member that are linked to no earlier
+    member, and a candidate passed over is not added further down, so each
+    set is reached once.  Links are found through the shared neighbours as
+    the sets grow, so the link clique of a high-degree vertex is never
+    built.  A set is scored only if it can beat the best key: its positions
+    and the neighbours exactly one of them reads keep a nonzero coefficient
+    under every choice of exponents, so their number bounds its support from
+    below, and a set whose bound exceeds the best support size is dropped as
+    it is reached.  ``reads`` counts, for each computational vertex, the
+    members of the growing set that read it, and ``once`` the vertices read
+    exactly once; both follow the members as they are added and removed, so
+    a set's bound costs one pass over its last member's neighbours.
+
     When d has several distinct primes, the minimum can instead be a union of
     unlinked partial sets: connected sets with 1 < gcd(d, c) < d, each with a
     boundary position and fewer vertices than the best connected set, which
@@ -212,6 +226,7 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
         support = tuple(sorted((a, *neighbors[a])))
         best_key = min(best_key, (len(support), support, (1,)))
     order = list(neighbors)  # every position, ascending
+    reads = {}  # computational vertex -> members of the growing set that read it
     for w in itertools.count(2):
         if w > best_key[0]:
             break
@@ -228,15 +243,68 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
             )
             allowed = operator.lt
         grown = False
-        for positions in _connected_sets(starts, w, allowed, neighbors, readers):
-            grown = True
-            if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
+        for root in starts:
+            extension = _exclusive(root, root, allowed, neighbors, readers, reads)
+            if not extension:  # nothing grows from this root
                 continue
-            best_key = _least_key(positions, d, neighbors, side_a, best_key, parts) or best_key
+            members, frames = [root], [extension]  # a frame is pushed only with candidates
+            once = _count_reads(reads, neighbors[root], 1)
+            while frames:
+                extension = frames[-1]
+                if len(members) + 1 < w and extension:  # grow by the next candidate
+                    u = extension.pop()
+                    child = extension + _exclusive(root, u, allowed, neighbors, readers, reads)
+                    if child:
+                        frames.append(child)
+                        once += _count_reads(reads, neighbors[u], 1)
+                        members.append(u)
+                    continue
+                if len(members) + 1 == w:  # each candidate completes a set
+                    grown = True
+                    for u in extension:
+                        lower = w + once  # the positions and the neighbours read once, with u
+                        for b in neighbors[u]:
+                            count = reads.get(b, 0)
+                            if count == 0:
+                                lower += 1
+                            elif count == 1:
+                                lower -= 1
+                        if lower > best_key[0]:
+                            continue
+                        positions = tuple(sorted((*members, u)))
+                        if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
+                            continue
+                        best_key = _least_key(positions, d, neighbors, side_a, best_key, parts) or best_key
+                frames.pop()
+                once += _count_reads(reads, neighbors[members.pop()], -1)
         if not grown:  # no connected set of w positions, so none of more
             break
     best_key = _least_union(sorted(parts), best_key) or best_key
     return tuple(v for v in best_key[1] if v in neighbors), best_key[2]
+
+
+def _exclusive(root, w, allowed, neighbors, readers, reads) -> list:
+    """Allowed link neighbours of ``w`` linked to no member, the members' neighbours being ``reads``."""
+    touched, out = reads.keys(), {}
+    for b in neighbors[w]:
+        if b not in reads:
+            for u in readers[b]:
+                if u != w and u not in out and allowed(root, u) and touched.isdisjoint(neighbors[u]):
+                    out[u] = None
+    return list(out)
+
+
+def _count_reads(reads, vertices, step) -> int:
+    """Add ``step`` (1 or -1) to each vertex's read count; returns the change in vertices read once."""
+    change = 0
+    for b in vertices:
+        count = reads.get(b, 0)
+        if count + step:
+            reads[b] = count + step
+        else:
+            del reads[b]
+        change += (count + step == 1) - (count == 1)
+    return change
 
 
 def _least_union(parts, bound, start=0, union=(), reads=frozenset(), g=0):
@@ -291,73 +359,77 @@ def _least_key(positions, d, neighbors, side_a, bound, parts):
     """Least informative (support size, support, exponents) below ``bound``, or None.
 
     A neighbour read by one position always carries a nonzero coefficient;
-    only those read by several can cancel.  With none of those, every choice
-    of exponents has the same support, and all ones is the least.  The
-    cross-cut test runs only on a key that beats the bound, and the least
-    key of each gcd strictly between 1 and d joins ``parts``.
+    only those read by several can cancel, and the caller has checked that
+    the positions and the neighbours read once fit within the bound.  The
+    exponents n_1, n_2, ... are fixed depth first, each in increasing
+    order, so vectors come in the order ``itertools.product`` gives them.
+    A shared neighbour is settled once its last reader has an exponent, and
+    a branch ends as soon as the settled neighbours left uncancelled do not
+    fit: when only s more fit and k are settled at a position, at least
+    k - s must cancel, so its exponent is -(the sum of the others') mod d
+    for one of them, and a tight bound fixes it.  At d = 2 all ones is the
+    only vector; with no shared neighbour, every vector has the same
+    support, and all ones is the least.  The cross-cut test runs only on a
+    key that beats the bound, and the least key of each gcd strictly between
+    1 and d joins ``parts``.
     """
     reads = {}  # computational vertex -> indices of its neighbours among the positions
     for i, a in enumerate(positions):
         for b in neighbors[a]:
             reads.setdefault(b, []).append(i)
     fixed = [*positions]
-    shared = []
+    settled = [[] for _ in positions]  # shared neighbours (vertex, its other readers), by last reader
     for b, idx in reads.items():
         if len(idx) == 1:
             fixed.append(b)
         else:
-            shared.append((b, idx))
-    if len(fixed) > bound[0]:
-        return None
+            settled[idx[-1]].append((b, idx[:-1]))
+    if len(fixed) == bound[0] and tuple(sorted(fixed)) > bound[1]:
+        return None  # a tight bound leaves the support ``fixed`` alone, which sorts after the best
     w = len(positions)
+    values = [1] * w
     best, least = None, {}  # least partial key per gcd
-    for values in itertools.product(range(1, d), repeat=w) if shared else [(1,) * w]:
-        support = fixed + [b for b, idx in shared if sum(values[i] for i in idx) % d]
-        if len(support) > bound[0]:
-            continue
-        support = tuple(sorted(support))
-        key = (len(support), support, values)
-        if key < bound:
-            g = _cross_gcd(positions, values, neighbors, side_a, d)
-            if g == 1:
-                bound = best = key
-            elif g < d and key < least.get(g, bound):
-                least[g] = key
+    if d == 2 or not any(settled):  # one vector, or one support for all: all ones is the least
+        left = [b for group in settled for b, others in group if (len(others) + 1) % d]
+        if len(fixed) + len(left) <= bound[0]:
+            best = _score(values, fixed + left, positions, neighbors, side_a, d, bound, least)
+    else:
+        def descend(i, left):  # exponents from position i on; ``left`` holds the uncancelled settled neighbours
+            nonlocal bound, best
+            room = bound[0] - len(fixed) - len(left)  # settled neighbours that may stay uncancelled
+            cancel = [(b, -sum([values[j] for j in others]) % d) for b, others in settled[i]]  # n_i cancelling b
+            for n in range(1, d) if len(cancel) <= room else sorted({n for _, n in cancel} - {0}):
+                values[i] = n
+                kept = left + [b for b, n_b in cancel if n_b != n]
+                if len(fixed) + len(kept) > bound[0]:
+                    continue
+                if i + 1 < w:
+                    descend(i + 1, kept)
+                    continue
+                key = _score(values, fixed + kept, positions, neighbors, side_a, d, bound, least)
+                if key:
+                    bound = best = key
+
+        descend(0, [])
     parts += [(key, positions, reads.keys(), g) for g, key in least.items()]
     return best
 
 
-def _connected_sets(roots, size, allowed, neighbors, readers):
-    """Link-connected sets of ``size`` >= 2 positions: a root and positions u with allowed(root, u).
+def _score(values, support, positions, neighbors, side_a, d, bound, least):
+    """The key of exponents ``values`` acting on ``support``, if it is informative and beats ``bound``.
 
-    For each root in turn, each set is yielded once, as a sorted tuple, by
-    ESU (Wernicke 2006): a set grows only by link neighbours of its newest
-    member that are linked to no earlier member, and a candidate passed over
-    is not added further down.  Links are found through the shared
-    neighbours as the sets grow, so the link clique of a high-degree vertex
-    is never built.
+    A partial key (1 < gcd < d) that beats both ``bound`` and the least one of
+    its gcd so far replaces that in ``least`` instead.
     """
-
-    def exclusive(root, w, touched):  # allowed link neighbours of w linked to no member
-        out = {}
-        for b in neighbors[w]:
-            if b not in touched:
-                for u in readers[b]:
-                    if u != w and u not in out and allowed(root, u) and touched.isdisjoint(neighbors[u]):
-                        out[u] = None
-        return list(out)
-
-    for root in roots:
-        stack = [((root,), exclusive(root, root, frozenset()))]
-        while stack:
-            members, extension = stack.pop()
-            if len(members) + 1 == size:
-                for w in extension:
-                    yield tuple(sorted((*members, w)))
-                continue
-            touched = {b for a in members for b in neighbors[a]}
-            for i, w in enumerate(extension):
-                stack.append(((*members, w), extension[i + 1:] + exclusive(root, w, touched)))
+    support = tuple(sorted(support))
+    key = (len(support), support, tuple(values))
+    if key < bound:
+        g = _cross_gcd(positions, values, neighbors, side_a, d)
+        if g == 1:
+            return key
+        if g < d and key < least.get(g, bound):
+            least[g] = key
+    return None
 
 
 def _product_basis(setting: MeasurementSetting, vertices, d: int) -> np.ndarray:

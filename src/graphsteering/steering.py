@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Bipartition, Graph, two_color
+from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
 from .registers import DensityOperator, PureState, QuditRegister
 from .schmidt import derive_setting, mix_white_noise, stabilizer_table
@@ -43,7 +43,8 @@ def white_noise(psi: PureState, p: float) -> DensityOperator:
 
 
 def derive_both_settings(g: Graph, d: int, part: Bipartition):
-    coloring = two_color(g)
+    """The two complementary settings of a cut, from the graph's one two-coloring."""
+    coloring = g.coloring
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import resource
 import subprocess
@@ -12,7 +13,7 @@ from click.testing import CliRunner
 
 import oracle
 from graphsteering import cli, graphstate
-from graphsteering.cli import FIG4_BYTES_PER_ROW, QSS_BYTES_PER_ROUND, main
+from graphsteering.cli import FIG4_BYTES_PER_ROW, QSS_BYTES_PER_ROUND, TABLE_BYTES_PER_ENTRY, main
 from graphsteering.registers import MAX_STATE_BYTES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -222,6 +223,22 @@ class TestCertify:
         payload = json.loads(out.read_text())
         assert abs(payload["i_total"] - 2.0) < 1e-9
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
+        assert leftovers == []
+
+
+class TestOutPathErrors:
+    """An unwritable --out exits 2 naming the given path, and leaves no temp file behind."""
+
+    @pytest.mark.parametrize("command", [["certify", "STAR3"], ["fig4", "--steps", "3"], ["qss", "--rounds", "2000"]])
+    @pytest.mark.parametrize("target", ["missing/out.txt", "existing-dir"])
+    def test_message_names_the_path(self, runner, star3_file, tmp_path, command, target):
+        (tmp_path / "existing-dir").mkdir()
+        out = str(tmp_path / target)
+        args = [star3_file if a == "STAR3" else a for a in command]
+        res = runner.invoke(main, [*args, "--out", out])
+        assert res.exit_code == 2
+        assert out in res.stderr and ".tmp-" not in res.stderr
+        leftovers = [p for p in tmp_path.rglob(".tmp-*")]
         assert leftovers == []
 
 
@@ -522,6 +539,26 @@ class TestQss:
         assert abs(payload["i_hat_total"] - 2 * np.log2(3)) < 0.05
 
 
+# Commands whose d x d joint tables are bounded, with how many tables each holds.
+TABLE_COMMANDS = [("certify", 2), ("fig4", 2), ("qss", 4)]
+
+
+def largest_table_d(tables):
+    """The largest d whose ``tables`` joint tables, TABLE_BYTES_PER_ENTRY an entry, fit in MAX_STATE_BYTES."""
+    return math.isqrt(MAX_STATE_BYTES // (TABLE_BYTES_PER_ENTRY * tables))
+
+
+def table_command(command, d, directory):
+    """Arguments of ``command`` at dimension d on a two-qudit graph (one edge)."""
+    if command in ("fig4", "fig5"):
+        return [command, "--d", str(d)] + (["--n", "2", "--steps", "2"] if command == "fig4" else [])
+    path = directory / f"pair{d}.json"
+    path.write_text(json.dumps({"n": 2, "d": d, "edges": [[1, 2]]}))
+    if command == "certify":
+        return ["certify", str(path)]
+    return ["qss", "--graph-file", str(path), "--rounds", "1000"]
+
+
 class TestLargestAcceptedSizes:
     """The largest size each bound accepts runs in MAX_STATE_BYTES of address space over a small run's."""
 
@@ -545,6 +582,26 @@ class TestLargestAcceptedSizes:
         # the largest qss run needs about half of MAX_STATE_BYTES, so a quarter stops it
         proc = run_child(self.LARGEST_QSS, baseline + MAX_STATE_BYTES // 4)
         assert proc.returncode != 0
+
+    @pytest.mark.parametrize("command, tables", TABLE_COMMANDS)
+    def test_largest_table_dimension(self, baseline, tmp_path, command, tables):
+        # d = 1448 for two tables (certify, fig4) and 1024 for qss's four; about 1 s each
+        d = largest_table_d(tables)
+        proc = run_child(table_command(command, d, tmp_path), baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command, tables", [*TABLE_COMMANDS, ("fig5", 2)])
+    def test_table_bound_at_boundary(self, runner, monkeypatch, tmp_path, command, tables):
+        # the next d is refused before any table, setting or star is built
+        d = largest_table_d(tables)
+        for stage in ("make_star", "checked_settings", "run_protocol"):
+            monkeypatch.setattr(cli, stage, reached)
+        res = runner.invoke(main, table_command(command, d, tmp_path))
+        assert isinstance(res.exception, Reached)
+        res = runner.invoke(main, table_command(command, d + 1, tmp_path))
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: {'--d' if command in ('fig4', 'fig5') else 'd'} {d + 1} needs")
+
 
 
 class TestVerify:

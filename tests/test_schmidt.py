@@ -758,6 +758,34 @@ def nonzero(vertices, coeffs):
     return {v: c for v, c in zip(vertices, coeffs) if c}
 
 
+class TestSearchWork:
+    def test_grid_cuts_score_few_sets(self, monkeypatch):
+        # a set is scored only if its positions and the neighbours read once fit the best
+        # support; grid(4x6) at d=2 grows thousands of sets over its 24 single-vertex cuts
+        # (3,867 were scored before that filter) and can beat the bound with 54
+        scored = []
+        least_key = schmidt._least_key
+        monkeypatch.setattr(schmidt, "_least_key", lambda *args: scored.append(args[0]) or least_key(*args))
+        g = make_grid(4, 6)
+        for v in range(1, g.n_vertices + 1):
+            derive_both_settings(g, 2, Bipartition.from_side_a(g, {v}))
+        assert len(scored) <= 60
+
+    def test_exponents_fixed_by_cancellation(self):
+        # positions 1-4 at d=30: the m=2 minimum cancels 6, 10 and 11 with n_3 = -n_1;
+        # trying all 29^w exponent vectors of each set took 3.3-3.8 s (2-CPU VM).  Forms
+        # of that enumeration.
+        edges = [(1, 6), (1, 7), (1, 10), (1, 11), (2, 5), (2, 9), (2, 10), (3, 6), (3, 9), (3, 10),
+                 (3, 11), (4, 5), (4, 7), (4, 9), (4, 11)]
+        g = Graph(12, frozenset(edges))
+        part = Bipartition.from_side_a(g, {2, 3, 5, 6, 7, 8, 10, 11, 12})
+        start = time.perf_counter()
+        settings = derive_both_settings(g, 30, part)
+        assert time.perf_counter() - start < 0.5  # about 10 ms
+        got = [(nonzero(s.a_vertices, s.fa_coeffs), nonzero(s.b_vertices, s.fb_coeffs)) for s in settings]
+        assert got == [({3: 1, 6: 29}, {1: 29}), ({3: 1, 7: 1}, {1: 1, 9: 1})]
+
+
 # Forms of the exhaustive search, which needs 0.1-0.6 s per cut on these sizes:
 # (graph, d, A side, ((A form, B form) for m=1, for m=2)) with zero entries left out.
 PINNED_LARGE = [

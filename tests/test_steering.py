@@ -15,9 +15,10 @@ from graphsteering import (
     make_star,
     noise_threshold,
     steering_statistic,
+    two_color,
     white_noise,
 )
-from graphsteering import steering
+from graphsteering import graphs, steering
 from graphsteering.steering import checked_settings
 from oracle import key_rate_rows
 
@@ -195,6 +196,25 @@ class TestDeriveBothSettings:
         g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
         with pytest.raises(NotTwoColorable):
             derive_both_settings(g, 2, Bipartition.from_side_a(g, {1}))
+
+    def test_two_cuts_share_one_coloring(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graphs, "two_color", lambda g: calls.append(g) or two_color(g))
+        g = make_chain(10)
+        first = derive_both_settings(g, 3, Bipartition.from_side_a(g, {4}))
+        derive_both_settings(g, 3, Bipartition.from_side_a(g, set(range(1, 6))))
+        assert len(calls) == 1
+        fresh = make_chain(10)
+        assert first == derive_both_settings(fresh, 3, Bipartition.from_side_a(fresh, {4}))
+
+    def test_odd_cycle_rejected_on_every_call(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graphs, "two_color", lambda g: calls.append(g) or two_color(g))
+        g = Graph(5, frozenset({(1, 2), (2, 3), (3, 1), (3, 4), (4, 5)}))
+        for side_a in ({1}, {4}):
+            with pytest.raises(NotTwoColorable):
+                derive_both_settings(g, 2, Bipartition.from_side_a(g, side_a))
+        assert len(calls) == 2
 
 
 def _must_not_run(*args):
