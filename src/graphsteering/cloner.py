@@ -2,8 +2,9 @@
 
 The attack is described on four abstract d-level registers (A, B and the
 clone pair C, C') via a d x d probability table over generalized Bell states.
-Everything here lives in dimension d**4 at most, so formula-level quantities
-can always be cross-checked against direct measurement of the explicit state.
+The protocol simulation uses only the formula-level quantities (the marginals
+q_m of the table); the explicit d**4 state built here is their oracle, which
+the tests and acceptance criteria measure directly.
 
 Index convention: the clone-pair Bell index is taken as (d-k) mod d, which
 makes the formula-level marginals agree with direct measurement of the

@@ -5,7 +5,9 @@ matched rounds are sifted.  Outcomes are sampled from the exact analytic
 joint table of each setting pair (statistically identical to per-round state
 collapse, orders of magnitude faster).  With a cloner present, the attack
 acts on the noiseless correlation in the effective d-level Schmidt space and
-white noise is then mixed into the joint table.
+white noise is then mixed into the joint table; the attacked tables are
+closed forms in O(d^2), and the cloner's explicit state in ``cloner`` is
+their test oracle.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from typing import Optional
 
 import numpy as np
 
-from .cloner import cloner_output, measured_joint, phase_covariant_gamma
+from .cloner import phase_covariant_gamma, q_marginals
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
-from .registers import QuditRegister
 from .schmidt import mix_white_noise, stabilizer_table
 from .steering import checked_settings
 
@@ -56,12 +57,12 @@ COUNT_CHUNK_ROUNDS = 1 << 16
 # binary-searching: at 64 entries the scan took half the time of
 # searchsorted, and they cross near 150 (25k samples, 2-CPU VM).
 SCAN_CDF_ENTRIES = 64
-_KEYS = [
-    np.frombuffer(text, dtype=np.uint8)
-    for text in (b'{"round": ', b', "ma": ', b', "mb": ', b', "a": ', b', "b": ', b', "sifted": ')
-]
-# indexed by sifted; the NUL cell, like every unused leading digit cell, is deleted at the end
-_ENDS = np.frombuffer(b"false}\n\0true}\n", dtype=np.uint8).reshape(2, -1)
+_KEYS = (b'{"round": ', b', "ma": ', b', "mb": ', b', "a": ', b', "b": ', b', "sifted": ')
+# The first four cells of "false}\n" and of "\0true}\n", indexed by sifted; the NUL
+# cell, like every unused leading digit cell, is deleted at the end.
+_SIFTED_CELLS = np.frombuffer(b"fals\0tru", dtype=np.uint32)
+# ASCII "0000" to "9999", four bytes in one uint32 each: the low four digits of every round number.
+_ROUND_DIGITS = (np.arange(10 ** 4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32)[:, 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,60 +108,90 @@ class Transcript:
 
         Each chunk is one ``stream.write`` of ASCII bytes.  A chunk holds at
         most ``JSONL_CHUNK_ROWS`` rounds and ends where the round number gains
-        a digit.  Every chunk is formatted in one byte buffer, sized for the
-        widest chunk.
+        a digit, so every record of a chunk has one layout: the round number
+        at the chunk's width and the four small columns at their widest in
+        the transcript.  Every chunk is formatted in one byte buffer, sized
+        for the widest chunk, whose constant cells are written again only
+        where the layout changes.
         """
         columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
         start, rounds = 0, len(self.sifted)
         if not rounds:
             return
-        widths = [len(str(rounds - 1))] + [len(str(int(c.max()))) for c in columns]
-        buffer = np.empty(min(rounds, JSONL_CHUNK_ROWS) * len(_template(widths)), dtype=np.uint8)
+        widths = [len(str(int(c.max()))) for c in columns]
+        buffer = np.empty(min(rounds, JSONL_CHUNK_ROWS) * len(_template(len(str(rounds - 1)), widths)), np.uint8)
+        round_width = filled = 0  # the layout in the buffer, and how many rows of it hold its constant cells
         while start < rounds:
-            stop = min(start + JSONL_CHUNK_ROWS, rounds, 10 ** len(str(start)))
+            width = len(str(start))
+            stop = min(start + JSONL_CHUNK_ROWS, rounds, 10 ** width)
+            if width != round_width:
+                round_width, filled = width, 0
+                template = _template(round_width, widths)
+            rows = buffer[:(stop - start) * len(template)].reshape(stop - start, len(template))
+            if filled < len(rows):
+                rows[filled:] = template
+                filled = len(rows)
             chunk = [c[start:stop] for c in columns]
-            stream.write(_jsonl_rows(start, chunk, self.sifted[start:stop], buffer))
+            stream.write(_jsonl_rows(rows, start, chunk, widths, self.sifted[start:stop]))
             start = stop
 
 
-def _template(widths) -> np.ndarray:
+def _template(round_width: int, widths) -> np.ndarray:
     """The cells of one record whose integer fields have these widths, digit cells NUL."""
-    return np.concatenate(
-        [np.concatenate([key, np.zeros(width, np.uint8)]) for key, width in zip(_KEYS, widths)]
-        + [_KEYS[-1], _ENDS[0]]
-    )
+    cells = [key + bytes(width) for key, width in zip(_KEYS, [round_width, *widths])]
+    return np.frombuffer(b"".join(cells) + _KEYS[-1] + b"false}\n", np.uint8)
 
 
-def _jsonl_rows(first_round: int, columns: list, sifted: np.ndarray, buffer: np.ndarray) -> bytes:
-    """The records of rounds ``first_round, ...``, whose round numbers share one width.
+def _write_round_numbers(cells: np.ndarray, first_round: int) -> None:
+    """Write the round numbers ``first_round, ...``, which share one width, into the rows of ``cells``.
 
-    Each row of a byte matrix, laid out at the start of ``buffer``, holds one
-    record with every integer at the widest width of its field in the chunk,
-    digits right-aligned.  The unused leading digit cells and the cell before
-    ``true}`` hold NUL, which ``bytes.replace`` deletes, ``JSONL_PIECE_ROWS``
-    rows at a time.  The reused buffer and the small pieces keep the chunk
-    from faulting in fresh pages: a new matrix and a chunk-sized copy beside
-    its NUL-free copy made glibc's allocator hand back and fault in again
-    some hundred pages a chunk.
+    The low four digits are slices of ``_ROUND_DIGITS``, which wrap to "0000"
+    at most once in a chunk; the digits above them are the same text on every
+    row up to the wrap and on every row after it.
     """
-    last_round = first_round + len(sifted) - 1
-    values = [np.arange(first_round, last_round + 1, dtype=np.min_scalar_type(last_round)), *columns]
-    widths = [len(str(int(v.max()))) for v in values]
-    template = _template(widths)
-    rows = buffer[:len(sifted) * len(template)].reshape(len(sifted), len(template))
-    rows[...] = template
-    col = 0
-    for field, (key, v, width) in enumerate(zip(_KEYS, values, widths)):
+    rows, width = cells.shape
+    assert rows <= len(_ROUND_DIGITS)
+    low = first_round % 10 ** 4
+    if width < 4:  # rounds 0 to 999
+        cells[:] = _ROUND_DIGITS[low:low + rows].view(np.uint8).reshape(rows, 4)[:, 4 - width:]
+        return
+    wrap = min(rows, 10 ** 4 - low)
+    digits = cells[:, -4:].view(np.uint32)[:, 0]  # one 4-byte cell a row, unaligned
+    digits[:wrap] = _ROUND_DIGITS[low:low + wrap]
+    digits[wrap:] = _ROUND_DIGITS[:rows - wrap]
+    if width > 4:
+        high = first_round // 10 ** 4
+        cells[:wrap, :-4] = np.frombuffer(str(high).encode(), np.uint8)
+        if wrap < rows:
+            cells[wrap:, :-4] = np.frombuffer(str(high + 1).encode(), np.uint8)
+
+
+def _jsonl_rows(rows: np.ndarray, first_round: int, columns: list, widths: list, sifted: np.ndarray) -> bytes:
+    """The records of rounds ``first_round, ...``, from ``rows`` whose constant cells are in place.
+
+    Each row of the byte matrix ``rows`` holds one record with every integer
+    at its field's width, digits right-aligned; every digit and ``sifted``
+    cell is written here.  The unused leading digit cells and the cell
+    before ``true}`` hold NUL, which ``bytes.replace`` deletes,
+    ``JSONL_PIECE_ROWS`` rows at a time.  Reusing the rows of one buffer and
+    the small pieces keep the chunk from faulting in fresh pages: a new
+    matrix and a chunk-sized copy beside its NUL-free copy made glibc's
+    allocator hand back and fault in again some hundred pages a chunk.
+    """
+    round_width = len(str(first_round))
+    col = len(_KEYS[0]) + round_width
+    _write_round_numbers(rows[:, col - round_width:col], first_round)
+    for key, v, width in zip(_KEYS[1:], columns, widths):
         col += len(key) + width
         for power in range(width):  # last digit first, with v the number // 10**power
             rest = v // 10 if power < width - 1 else None
             char = v + ord("0") if rest is None else v - rest * 10 + ord("0")
-            if power and field:  # field 0, the round number, has the same width on every row
+            if power:
                 char *= v > 0
             rows[:, col - 1 - power] = char
             v = rest
     col += len(_KEYS[-1])
-    rows[sifted, col:] = _ENDS[1]
+    rows[:, col:col + 4].view(np.uint32)[:, 0] = _SIFTED_CELLS.take(sifted.view(np.uint8))
     pieces = range(0, len(rows), JSONL_PIECE_ROWS)
     return b"".join([rows[i:i + JSONL_PIECE_ROWS].tobytes().replace(b"\0", b"") for i in pieces])
 
@@ -177,17 +208,28 @@ _PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 
 
 def setting_pair_tables(cfg: ProtocolConfig) -> dict:
-    """Analytic joint table for every (m_a, m_b) pair under the configured model."""
+    """Analytic joint table for every (m_a, m_b) pair under the configured model.
+
+    Under the cloning attack the A-B reduced state is Bell-diagonal with the
+    weights gamma, so matched settings m give P(a, b) = q_m[(b - a) mod d] / d
+    with q_m the marginal of gamma, and mismatched settings the uniform 1/d^2:
+    O(d^2) per table.  Measuring the cloner's explicit d^4 state, the tests'
+    oracle, gives the same tables up to round-off.
+    """
     if cfg.cloner_disturbance is None:
         settings = checked_settings(cfg.graph, cfg.d, cfg.part)
         pairs = [(settings[ma - 1], settings[mb - 1]) for ma, mb in _PAIRS]
         stack = stabilizer_table(cfg.graph, cfg.d, pairs, cfg.part, cfg.noise_p)
     else:
         cfg.graph.coloring  # the attacked settings exist only on two-colorable graphs
-        QuditRegister(4, cfg.d)  # the cloner's registers, refused before the d x d gamma table
-        output = cloner_output(phase_covariant_gamma(cfg.cloner_disturbance, cfg.d))
-        joints = np.stack([measured_joint(output, ma, mb) for ma, mb in _PAIRS])
-        stack = mix_white_noise(joints, cfg.noise_p)
+        d = cfg.d
+        gamma = phase_covariant_gamma(cfg.cloner_disturbance, d)
+        outcomes = np.arange(d)
+        shift = (outcomes - outcomes[:, None]) % d  # b - a at [a, b]
+        stack = np.full((4, d, d), 1.0 / (d * d))
+        stack[0] = q_marginals(gamma, 1)[shift] / d
+        stack[3] = q_marginals(gamma, 2)[shift] / d
+        stack = mix_white_noise(stack, cfg.noise_p)
     return dict(zip(_PAIRS, stack))
 
 

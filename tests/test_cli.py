@@ -501,25 +501,35 @@ class TestQss:
         assert slope <= QSS_BYTES_PER_ROUND
 
     @pytest.mark.parametrize(
-        "graph, digest",
+        "graph, disturbance, digest",
         [
-            (None, "89840360abf7fd61b27ec3a7606e7cf737cceadf7e0b13763bdff0c222af3a2a"),
+            (None, None, "89840360abf7fd61b27ec3a7606e7cf737cceadf7e0b13763bdff0c222af3a2a"),
             (
                 '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
+                None,
                 "9273bdb5f62ead2c0735383fdc91eabf9ea7165f7bf6dc0acf67fe0624ab9b0b",
+            ),
+            (None, "0.1", "7dd19b77fe5986198e00179aa531870d03b2b07f1608489dc53aceb77003a1c3"),
+            (
+                '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
+                "0.1",
+                "f4df979c5a4bd9ab2868224f0eab4e117fc50349e56c545aa85bf883264f26ce",
             ),
         ],
     )
-    def test_pinned_transcript_sha256(self, runner, tmp_path, graph, digest):
+    def test_pinned_transcript_sha256(self, runner, tmp_path, graph, disturbance, digest):
         args = ["qss", "--seed", "7", "--rounds", "30000", "--out", str(tmp_path / "t.jsonl")]
         if graph is not None:
             (tmp_path / "g.json").write_text(graph)
             args += ["--graph-file", str(tmp_path / "g.json")]
+        if disturbance is not None:
+            args += ["--disturbance", disturbance]
         assert runner.invoke(main, args).exit_code == 0
         assert hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("d", [1000, 10 ** 6])
     def test_oversized_cloner_register_exit_2(self, runner, tmp_path, d):
+        # the attacked tables take O(d^2), so the 3-qudit graph's own register refuses these d
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"n": 3, "d": d, "edges": [[1, 2], [1, 3]]}))
         res = runner.invoke(
@@ -588,6 +598,12 @@ class TestLargestAcceptedSizes:
         # d = 1448 for two tables (certify, fig4) and 1024 for qss's four; about 1 s each
         d = largest_table_d(tables)
         proc = run_child(table_command(command, d, tmp_path), baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_largest_attacked_qss_dimension(self, baseline, tmp_path):
+        # the cloning attack's tables are closed forms of O(d^2) too: about 0.5 s at d = 1024
+        d = largest_table_d(4)
+        proc = run_child(table_command("qss", d, tmp_path) + ["--disturbance", "0.1"], baseline + MAX_STATE_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("command, tables", [*TABLE_COMMANDS, ("fig5", 2)])

@@ -11,14 +11,18 @@ from graphsteering import (
     InsufficientData,
     ProtocolConfig,
     Transcript,
+    cloner_output,
     estimate_rates,
     make_chain,
     make_star,
+    measured_joint,
+    phase_covariant_gamma,
     run_protocol,
 )
 from graphsteering import protocol
 from graphsteering.infotheory import mutual_information
 from graphsteering.protocol import JSONL_CHUNK_ROWS, setting_pair_tables
+from graphsteering.schmidt import mix_white_noise
 from graphsteering.steering import (
     derive_both_settings,
     noise_threshold,
@@ -137,10 +141,9 @@ class TestRunProtocol:
         noise_p=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
         attack=st.one_of(st.none(), st.floats(0.0, 1.0)),
     )
-    @example(d=17, seed=5, rounds=3000, noise_p=0.3, attack=0.5)  # d=17 tables come from the cloner
+    @example(d=17, seed=5, rounds=3000, noise_p=0.3, attack=0.5)  # an attacked d=17 case on every run
     def test_matches_choice_sampler(self, d, seed, rounds, noise_p, attack):
-        # the cloner's tables at d=17 take about a second, so drawn cases at d=17 run unattacked
-        disturbance = None if attack is None or (d == 17 and rounds != 3000) else attack * (d - 1) / d
+        disturbance = None if attack is None else attack * (d - 1) / d
         g = make_star(3)
         cfg = ProtocolConfig(
             graph=g,
@@ -197,6 +200,23 @@ class TestRunProtocol:
         t = run_protocol(star3_config(rounds=n, seed=11))
         sigma = 0.5 / np.sqrt(n)
         assert abs(float(np.mean(t.sifted)) - 0.5) < 3 * sigma
+
+
+class TestAttackedTables:
+    @pytest.mark.parametrize("d", range(2, 18))
+    def test_match_measured_cloner_state(self, d):
+        # the closed form against measurement of the cloner's explicit d^4 state
+        g = make_star(3)
+        pairs = ((1, 1), (1, 2), (2, 1), (2, 2))
+        for disturbance in (0.0, 0.1, (d - 1) / d):
+            output = cloner_output(phase_covariant_gamma(disturbance, d))
+            joints = np.stack([measured_joint(output, ma, mb) for ma, mb in pairs])
+            for p in (0.0, 0.3):
+                cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), noise_p=p,
+                                     cloner_disturbance=disturbance)
+                tables = setting_pair_tables(cfg)
+                got = np.stack([tables[pair] for pair in pairs])
+                np.testing.assert_allclose(got, mix_white_noise(joints, p), rtol=0, atol=1e-12)
 
 
 class TestEstimateRates:
@@ -339,6 +359,9 @@ class TestTranscriptExport:
         seed=st.integers(0, 2 ** 32 - 1),
         narrow=st.booleans(),
     )
+    # the chunk of rounds 18,192-20,000 wraps the low four digits from 9999 to 0000
+    @example(d=12, rounds=20_001, seed=5, narrow=True)
+    @example(d=1024, rounds=100_001, seed=6, narrow=True)  # round numbers gain a sixth digit
     def test_matches_record_writer(self, d, rounds, seed, narrow):
         rng = np.random.default_rng(seed)
         ma, mb = rng.integers(1, 3, size=(2, rounds))
