@@ -501,29 +501,38 @@ class TestQss:
         assert slope <= QSS_BYTES_PER_ROUND
 
     @pytest.mark.parametrize(
-        "graph, disturbance, digest",
+        "graph, digest",
         [
-            (None, None, "89840360abf7fd61b27ec3a7606e7cf737cceadf7e0b13763bdff0c222af3a2a"),
+            (None, "89840360abf7fd61b27ec3a7606e7cf737cceadf7e0b13763bdff0c222af3a2a"),
             (
                 '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
-                None,
                 "9273bdb5f62ead2c0735383fdc91eabf9ea7165f7bf6dc0acf67fe0624ab9b0b",
-            ),
-            (None, "0.1", "7dd19b77fe5986198e00179aa531870d03b2b07f1608489dc53aceb77003a1c3"),
-            (
-                '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
-                "0.1",
-                "f4df979c5a4bd9ab2868224f0eab4e117fc50349e56c545aa85bf883264f26ce",
             ),
         ],
     )
-    def test_pinned_transcript_sha256(self, runner, tmp_path, graph, disturbance, digest):
+    def test_pinned_transcript_sha256(self, runner, tmp_path, graph, digest):
         args = ["qss", "--seed", "7", "--rounds", "30000", "--out", str(tmp_path / "t.jsonl")]
         if graph is not None:
             (tmp_path / "g.json").write_text(graph)
             args += ["--graph-file", str(tmp_path / "g.json")]
-        if disturbance is not None:
-            args += ["--disturbance", disturbance]
+        assert runner.invoke(main, args).exit_code == 0
+        assert hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "graph, digest",
+        [
+            (None, "7dd19b77fe5986198e00179aa531870d03b2b07f1608489dc53aceb77003a1c3"),
+            (
+                '{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}',
+                "f4df979c5a4bd9ab2868224f0eab4e117fc50349e56c545aa85bf883264f26ce",
+            ),
+        ],
+    )
+    def test_pinned_attacked_transcript_sha256(self, runner, tmp_path, graph, digest):
+        args = ["qss", "--seed", "7", "--rounds", "30000", "--disturbance", "0.1", "--out", str(tmp_path / "t.jsonl")]
+        if graph is not None:
+            (tmp_path / "g.json").write_text(graph)
+            args += ["--graph-file", str(tmp_path / "g.json")]
         assert runner.invoke(main, args).exit_code == 0
         assert hashlib.sha256((tmp_path / "t.jsonl").read_bytes()).hexdigest() == digest
 
