@@ -21,11 +21,11 @@ from . import __version__
 from .cloner import dirichlet_gamma, no_sharing_sum
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
 from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_protocol
-from .registers import MAX_STATE_BYTES, QuditRegister, RegisterTooLarge
+from .registers import MAX_STATE_BYTES
 from .schmidt import NoCorrelationForm
 from .steering import (
-    checked_settings,
     critical_disturbance,
+    derive_both_settings,
     disturbance_entropy,
     key_rate_scan,
     noise_threshold,
@@ -50,6 +50,10 @@ FIG4_BYTES_PER_ROW = 48
 # same machine and rounded up: 47.8 bytes an entry for `certify`'s two tables
 # from d=1024 to 2048, 48.3 for `qss`'s four from d=1024 to 1448.
 TABLE_BYTES_PER_ENTRY = 64
+# Peak memory per vertex or edge of a graph, the ru_maxrss slope of `certify
+# --partition 1` at d=3 rounded up: 347-358 bytes between stars of 10^5 to 4*10^5
+# vertices, 304 between such chains, 281 between 316^2 and 632^2 grids (359 MB).
+GRAPH_BYTES_PER_ELEMENT = 512
 # Output rows formatted and written at a time by `fig4`.
 CSV_CHUNK_ROWS = 4096
 
@@ -134,18 +138,23 @@ class _RefusingGroup(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (NotTwoColorable, RegisterTooLarge, InsufficientData, OSError) as exc:
+        except (NotTwoColorable, InsufficientData, OSError) as exc:
             _refuse(f"{type(exc).__name__}: {exc}")
         except NoCorrelationForm as exc:
             _refuse(f"{type(exc).__name__}: {exc}", EXIT_DERIVATION)
 
 
-def _load_graph(path: str):
+def _load_graph(path: str, tables: int):
+    """The file's graph and d, refused before anything lists its vertices or builds its ``tables`` d x d tables."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return parse_graph(handle.read())
+            g, d = parse_graph(handle.read())
     except ValueError as exc:
         _refuse(str(exc))
+    size = g.n_vertices + len(g.edges)
+    _bound("graph n + |E|", size, GRAPH_BYTES_PER_ELEMENT * size)
+    _bound("d", d, TABLE_BYTES_PER_ENTRY * tables * d * d)
+    return g, d
 
 
 def _parse_partition(g, text: str | None) -> Bipartition:
@@ -186,15 +195,13 @@ def main():
 @click.option("--out", default=None, type=click.Path(), help="Output file (default: stdout).")
 def certify(graph_file, partition, p, fmt, out):
     """Certify steering of a (noisy) graph state from a graph file."""
-    g, d = _load_graph(graph_file)
-    QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
-    _bound("d", d, TABLE_BYTES_PER_ENTRY * 2 * d * d)  # one table per setting
+    g, d = _load_graph(graph_file, 2)  # one table per setting
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
         _refuse("--p must be in [0, 1]")
-    report = steering_statistic(g, d, checked_settings(g, d, part), part, p)
+    report = steering_statistic(g, d, derive_both_settings(g, d, part), part, p)
     manifest = _manifest(
-        "certify", {"graph_file": graph_file, "partition": sorted(part.side_a), "p": p}
+        "certify", {"graph_file": graph_file, "partition": list(part.a_vertices), "p": p}
     )
     payload = {
         "i_per_setting": list(report.i_per_setting),
@@ -226,7 +233,7 @@ def fig4(d_list, n, p_max, steps, out):
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
         _refuse("bad ranges")
     _bound("--steps", steps, FIG4_BYTES_PER_ROW * steps * len(dims))
-    QuditRegister(n, max(dims))  # size guard before the star lists all n vertices
+    _bound("--n", n, GRAPH_BYTES_PER_ELEMENT * (2 * n - 1))  # star(n) has n - 1 edges
     _bound("--d", max(dims), TABLE_BYTES_PER_ENTRY * 2 * max(dims) ** 2)
     g = make_star(n)
     part = Bipartition.from_side_a(g, {1})
@@ -320,11 +327,9 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     _check_seed(seed)
     _bound("--rounds", rounds, QSS_BYTES_PER_ROUND * rounds)
     if graph_file is not None:
-        g, d = _load_graph(graph_file)
+        g, d = _load_graph(graph_file, 4)  # one table per setting pair
     else:
         g, d = make_star(3), 2
-    QuditRegister(g.n_vertices, d)  # size guard before the partition lists all n vertices
-    _bound("d", d, TABLE_BYTES_PER_ENTRY * 4 * d * d)  # one table per setting pair
     part = _parse_partition(g, partition)
     try:
         cfg = ProtocolConfig(
@@ -351,7 +356,7 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
             "qss",
             {
                 "graph_file": graph_file,
-                "partition": sorted(part.side_a),
+                "partition": list(part.a_vertices),
                 "p": p,
                 "disturbance": disturbance,
                 "rounds": rounds,

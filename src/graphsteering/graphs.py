@@ -51,8 +51,8 @@ class Graph:
         """Neighbour lists indexed by vertex (entry 0 unused), each in the iteration order of ``edges``.
 
         Built on first use, in O(N + |E|), and shared by every later caller,
-        which must not modify it.  Nothing builds it before the register
-        guard has refused an oversized graph.
+        which must not modify it.  The command line builds it only after the
+        graph-size bound has refused an oversized graph.
         """
         adjacency = [[] for _ in range(self.n_vertices + 1)]
         for i, j in self.edges:
@@ -83,6 +83,8 @@ class TwoColoring:
 
 @dataclass(frozen=True)
 class Bipartition:
+    """Two disjoint vertex sets, each also sorted once, on first use, into ``a_vertices`` or ``b_vertices``."""
+
     side_a: frozenset
     side_b: frozenset
 
@@ -93,6 +95,14 @@ class Bipartition:
             raise ValueError("both sides of a bipartition must be non-empty")
         if self.side_a & self.side_b:
             raise ValueError("bipartition sides must be disjoint")
+
+    @functools.cached_property
+    def a_vertices(self) -> tuple:
+        return tuple(sorted(self.side_a))
+
+    @functools.cached_property
+    def b_vertices(self) -> tuple:
+        return tuple(sorted(self.side_b))
 
     @classmethod
     def from_side_a(cls, g: Graph, side_a) -> Bipartition:

@@ -21,7 +21,7 @@ from .cloner import phase_covariant_gamma, q_marginals
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
 from .schmidt import mix_white_noise, stabilizer_table
-from .steering import checked_settings
+from .steering import derive_both_settings
 
 
 class InsufficientData(RuntimeError):
@@ -217,7 +217,7 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     oracle, gives the same tables up to round-off.
     """
     if cfg.cloner_disturbance is None:
-        settings = checked_settings(cfg.graph, cfg.d, cfg.part)
+        settings = derive_both_settings(cfg.graph, cfg.d, cfg.part)
         pairs = [(settings[ma - 1], settings[mb - 1]) for ma, mb in _PAIRS]
         stack = stabilizer_table(cfg.graph, cfg.d, pairs, cfg.part, cfg.noise_p)
     else:

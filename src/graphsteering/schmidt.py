@@ -25,10 +25,21 @@ from .registers import DensityOperator, PureState, QuditRegister, permute_qudits
 
 COMPUTATIONAL = "computational"
 FOURIER = "fourier"
+# Units of work a setting search may spend (reader visits, leaf candidates,
+# neighbour reads of the sets scored, exponents tried and the neighbours each
+# settles, union steps), plus so many per vertex and edge.  2-CPU VM: the tests'
+# dense cuts stop in 0.05-0.35 s, no other test or benchmark cut but the large
+# ones spends over 6,878 units, and the half cut of grid(300x300) 1.34 an element.
+SEARCH_UNITS = 200_000
+SEARCH_UNITS_PER_ELEMENT = 4
 
 
 class NoCorrelationForm(RuntimeError):
     """No stabilizer element correlates the two sides: no edge crosses the cut."""
+
+
+class _OutOfBudget(Exception):
+    """The setting search has spent its units of work."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,7 +84,7 @@ class Povm:
 
 def side_order(part: Bipartition) -> tuple:
     """Qudit ordering used for all bipartite reshapes: A ascending, then B ascending."""
-    return tuple(sorted(part.side_a)) + tuple(sorted(part.side_b))
+    return part.a_vertices + part.b_vertices
 
 
 def schmidt_decompose(psi: PureState, part: Bipartition) -> SchmidtForm:
@@ -112,7 +123,8 @@ def derive_setting(
     Fourier-measured vertex has a neighbour across the cut: the crossing
     edges, read from ``g.adjacency`` at the smaller side, are checked first.
     Every d is searched by ``_connected_search``, which also joins unlinked
-    sets of positions when d has several distinct primes.
+    sets of positions when d has several distinct primes.  The form is the
+    canonical one whenever that search ends within its budget.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -120,26 +132,24 @@ def derive_setting(
     local_bases = {
         v: FOURIER if c == fourier_color else COMPUTATIONAL for v, c in coloring.colors.items()
     }
-    side_a = part.side_a
-    a_vertices = tuple(sorted(side_a))
-    b_vertices = tuple(sorted(part.side_b))
 
     # No edge joins two Fourier vertices, so every neighbour of a Fourier vertex is
     # computational, and every neighbour of a computational vertex reads it.
     adjacency = g.adjacency
     neighbors = {a: adjacency[a] for a in sorted(v for v, c in coloring.colors.items() if c == fourier_color)}
     # Alone, with exponent 1, a boundary position has c = (1, ..., 1); with none, c = 0 always.
-    inner = min(side_a, part.side_b, key=len)
+    inner = min(part.side_a, part.side_b, key=len)
     boundary = sorted({v if v in neighbors else w for v in inner for w in adjacency[v] if w not in inner})
     if not boundary:
         raise NoCorrelationForm(
-            f"no Fourier-measured vertex has a neighbour across the cut A={list(a_vertices)} "
+            f"no Fourier-measured vertex has a neighbour across the cut A={list(part.a_vertices)} "
             f"for setting m={m}: no edge crosses the cut, so the state is a product across it"
         )
-    coeff = _coefficients(*_connected_search(d, neighbors, adjacency, side_a, boundary), neighbors)
-    fa = tuple([coeff.get(v, 0) % d for v in a_vertices])
-    fb = tuple([-coeff.get(v, 0) % d for v in b_vertices])
-    return MeasurementSetting(m, local_bases, a_vertices, b_vertices, fa, fb)
+    units = SEARCH_UNITS + SEARCH_UNITS_PER_ELEMENT * (g.n_vertices + len(g.edges))
+    coeff = _coefficients(*_connected_search(d, neighbors, adjacency, part.side_a, boundary, units), neighbors)
+    fa = tuple([coeff.get(v, 0) % d for v in part.a_vertices])
+    fb = tuple([-coeff.get(v, 0) % d for v in part.b_vertices])
+    return MeasurementSetting(m, local_bases, part.a_vertices, part.b_vertices, fa, fb)
 
 
 def _coefficients(positions, values, neighbors) -> dict:
@@ -176,7 +186,7 @@ def _cross_gcd(positions, values, neighbors, side_a, d: int) -> int:
     return math.gcd(d, *cross.values())
 
 
-def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
+def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary, units: int):
     """Canonical informative (positions, exponents), from link-connected sets and their unions.
 
     Two Fourier positions are linked when they share a neighbour.  Sets in
@@ -219,78 +229,93 @@ def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary):
     boundary position and fewer vertices than the best connected set, which
     ``_least_key`` collects and ``_least_union`` joins.  Prime d has none.  The
     positions of the result are the Fourier vertices of its support.
+
+    The work is counted against ``units``.  The result is the canonical
+    minimum whenever the search ends within them, and otherwise the least key
+    found so far, which is informative, so every table is the same.
     """
     on_boundary = frozenset(boundary)
     best_key, parts = (math.inf,), []
     for a in boundary:  # whatever the exponent, {a} acts on N[a]
         support = tuple(sorted((a, *neighbors[a])))
         best_key = min(best_key, (len(support), support, (1,)))
-    order = list(neighbors)  # every position, ascending
-    reads = {}  # computational vertex -> members of the growing set that read it
-    for w in itertools.count(2):
-        if w > best_key[0]:
-            break
-        if w < best_key[0]:  # each set under its least boundary position
-            starts, allowed = boundary, lambda root, u: u > root or u not in on_boundary
-        else:
-            if _least_from(order, order[0], w) > best_key[1]:
+    left = [units]
+    def spend(work):
+        left[0] -= work
+        if left[0] < 0:
+            raise _OutOfBudget
+    try:
+        order = list(neighbors)  # every position, ascending
+        reads = {}  # computational vertex -> members of the growing set that read it
+        for w in itertools.count(2):
+            if w > best_key[0]:
                 break
-            roots = list(itertools.takewhile(best_key[1][0].__ge__, order))
-            ball = _link_ball(boundary, w - 1, neighbors, readers) if roots else ()
-            starts = itertools.takewhile(  # roots ascend, and the best support only falls
-                lambda root: _least_from(order, root, w) <= best_key[1],
-                [root for root in roots if root in ball],
-            )
-            allowed = operator.lt
-        grown = False
-        for root in starts:
-            extension = _exclusive(root, root, allowed, neighbors, readers, reads)
-            if not extension:  # nothing grows from this root
-                continue
-            members, frames = [root], [extension]  # a frame is pushed only with candidates
-            once = _count_reads(reads, neighbors[root], 1)
-            while frames:
-                extension = frames[-1]
-                if len(members) + 1 < w and extension:  # grow by the next candidate
-                    u = extension.pop()
-                    child = extension + _exclusive(root, u, allowed, neighbors, readers, reads)
-                    if child:
-                        frames.append(child)
-                        once += _count_reads(reads, neighbors[u], 1)
-                        members.append(u)
+            if w < best_key[0]:  # each set under its least boundary position
+                starts, allowed = boundary, lambda root, u: u > root or u not in on_boundary
+            else:
+                if _least_from(order, order[0], w) > best_key[1]:
+                    break
+                roots = list(itertools.takewhile(best_key[1][0].__ge__, order))
+                ball = _link_ball(boundary, w - 1, neighbors, readers) if roots else ()
+                starts = itertools.takewhile(  # roots ascend, and the best support only falls
+                    lambda root: _least_from(order, root, w) <= best_key[1],
+                    [root for root in roots if root in ball],
+                )
+                allowed = operator.lt
+            grown = False
+            for root in starts:
+                extension = _exclusive(root, root, allowed, neighbors, readers, reads, spend)
+                if not extension:  # nothing grows from this root
                     continue
-                if len(members) + 1 == w:  # each candidate completes a set
-                    grown = True
-                    for u in extension:
-                        lower = w + once  # the positions and the neighbours read once, with u
-                        for b in neighbors[u]:
-                            count = reads.get(b, 0)
-                            if count == 0:
-                                lower += 1
-                            elif count == 1:
-                                lower -= 1
-                        if lower > best_key[0]:
-                            continue
-                        positions = tuple(sorted((*members, u)))
-                        if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
-                            continue
-                        best_key = _least_key(positions, d, neighbors, side_a, best_key, parts) or best_key
-                frames.pop()
-                once += _count_reads(reads, neighbors[members.pop()], -1)
-        if not grown:  # no connected set of w positions, so none of more
-            break
-    best_key = _least_union(sorted(parts), best_key) or best_key
+                members, frames = [root], [extension]  # a frame is pushed only with candidates
+                once = _count_reads(reads, neighbors[root], 1)
+                while frames:
+                    extension = frames[-1]
+                    if len(members) + 1 < w and extension:  # grow by the next candidate
+                        u = extension.pop()
+                        child = extension + _exclusive(root, u, allowed, neighbors, readers, reads, spend)
+                        if child:
+                            frames.append(child)
+                            once += _count_reads(reads, neighbors[u], 1)
+                            members.append(u)
+                        continue
+                    if len(members) + 1 == w:  # each candidate completes a set
+                        grown = True
+                        spend(len(extension))
+                        for u in extension:
+                            lower = w + once  # the positions and the neighbours read once, with u
+                            for b in neighbors[u]:
+                                count = reads.get(b, 0)
+                                if count == 0:
+                                    lower += 1
+                                elif count == 1:
+                                    lower -= 1
+                            if lower > best_key[0]:
+                                continue
+                            positions = tuple(sorted((*members, u)))
+                            if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
+                                continue
+                            best_key = _least_key(positions, d, neighbors, side_a, best_key, parts, spend) or best_key
+                    frames.pop()
+                    once += _count_reads(reads, neighbors[members.pop()], -1)
+            if not grown:  # no connected set of w positions, so none of more
+                break
+        best_key = _least_union(sorted(parts), best_key, spend) or best_key
+    except _OutOfBudget:  # the least key found so far stands
+        pass
     return tuple(v for v in best_key[1] if v in neighbors), best_key[2]
 
 
-def _exclusive(root, w, allowed, neighbors, readers, reads) -> list:
+def _exclusive(root, w, allowed, neighbors, readers, reads, spend) -> list:
     """Allowed link neighbours of ``w`` linked to no member, the members' neighbours being ``reads``."""
-    touched, out = reads.keys(), {}
+    touched, out, visits = reads.keys(), {}, 0
     for b in neighbors[w]:
         if b not in reads:
+            visits += len(readers[b])
             for u in readers[b]:
                 if u != w and u not in out and allowed(root, u) and touched.isdisjoint(neighbors[u]):
                     out[u] = None
+    spend(visits)
     return list(out)
 
 
@@ -307,7 +332,7 @@ def _count_reads(reads, vertices, step) -> int:
     return change
 
 
-def _least_union(parts, bound, start=0, union=(), reads=frozenset(), g=0):
+def _least_union(parts, bound, spend, start=0, union=(), reads=frozenset(), g=0):
     """Least key below ``bound`` of an informative union of unlinked ``parts``, or None.
 
     ``parts`` holds partial sets (key, positions, neighbours, gcd) in key
@@ -315,6 +340,7 @@ def _least_union(parts, bound, start=0, union=(), reads=frozenset(), g=0):
     """
     best, size = None, sum(part[0][0] for part in union)
     for i in range(start, len(parts)):
+        spend(1)
         key, _, part_reads, part_g = part = parts[i]
         if size + key[0] > bound[0]:
             break  # parts ascend in size
@@ -322,7 +348,7 @@ def _least_union(parts, bound, start=0, union=(), reads=frozenset(), g=0):
         if h == g or not reads.isdisjoint(part_reads):  # no gain, or linked
             continue
         if h > 1:
-            found = _least_union(parts, bound, i + 1, (*union, part), reads | part_reads, h)
+            found = _least_union(parts, bound, spend, i + 1, (*union, part), reads | part_reads, h)
         else:
             pairs = [p for (*_, values), positions, *_ in (*union, part) for p in zip(positions, values)]
             support = tuple(sorted(v for (_, vs, _), *_ in (*union, part) for v in vs))
@@ -355,7 +381,7 @@ def _least_from(order, root, w):
     return tuple(order[i:i + w])
 
 
-def _least_key(positions, d, neighbors, side_a, bound, parts):
+def _least_key(positions, d, neighbors, side_a, bound, parts, spend):
     """Least informative (support size, support, exponents) below ``bound``, or None.
 
     A neighbour read by one position always carries a nonzero coefficient;
@@ -373,6 +399,7 @@ def _least_key(positions, d, neighbors, side_a, bound, parts):
     key that beats the bound, and the least key of each gcd strictly between
     1 and d joins ``parts``.
     """
+    spend(sum([len(neighbors[a]) for a in positions]))
     reads = {}  # computational vertex -> indices of its neighbours among the positions
     for i, a in enumerate(positions):
         for b in neighbors[a]:
@@ -399,6 +426,7 @@ def _least_key(positions, d, neighbors, side_a, bound, parts):
             room = bound[0] - len(fixed) - len(left)  # settled neighbours that may stay uncancelled
             cancel = [(b, -sum([values[j] for j in others]) % d) for b, others in settled[i]]  # n_i cancelling b
             for n in range(1, d) if len(cancel) <= room else sorted({n for _, n in cancel} - {0}):
+                spend(1 + len(cancel))
                 values[i] = n
                 kept = left + [b for b, n_b in cancel if n_b != n]
                 if len(fixed) + len(kept) > bound[0]:
@@ -523,15 +551,14 @@ def characteristic_table(
     the Fourier reads' neighbours add up those integers, and the d x d array
     is built once, from the distinct (alpha, beta) mod d.
     """
-    a_vertices, b_vertices = tuple(sorted(part.side_a)), tuple(sorted(part.side_b))
-    if setting_a.a_vertices != a_vertices or setting_b.b_vertices != b_vertices:
+    if setting_a.a_vertices != part.a_vertices or setting_b.b_vertices != part.b_vertices:
         raise ValueError("setting vertices do not match the bipartition")
     if not (_surjective(setting_a.fa_coeffs, d) and _surjective(setting_b.fb_coeffs, d)):
         raise ValueError("correlation forms must be surjective onto Z_d")
     fourier, residual = {}, {}  # (alpha, beta) of e_v at Fourier reads; of (z - Gamma u)_w at every w
     for setting, vertices, coeffs, unit in (
-        (setting_a, a_vertices, setting_a.fa_coeffs, (1, 0)),
-        (setting_b, b_vertices, setting_b.fb_coeffs, (0, 1)),
+        (setting_a, part.a_vertices, setting_a.fa_coeffs, (1, 0)),
+        (setting_b, part.b_vertices, setting_b.fb_coeffs, (0, 1)),
     ):
         for v, c in zip(vertices, coeffs):
             if c % d:

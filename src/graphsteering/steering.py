@@ -8,7 +8,7 @@ import numpy as np
 
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
-from .registers import DensityOperator, PureState, QuditRegister
+from .registers import DensityOperator, PureState
 from .schmidt import derive_setting, mix_white_noise, stabilizer_table
 
 # Strict steering inequality: require the margin to clear floating-point noise.
@@ -48,18 +48,6 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
-def checked_settings(g: Graph, d: int, part: Bipartition):
-    """The two settings, cheapest refusal first.
-
-    The register size is checked before the setting search, which is
-    exponential on dense graphs such as K_{n,n}, so an oversized graph is
-    refused before any search; the search then refuses a graph with an odd
-    cycle.
-    """
-    QuditRegister(g.n_vertices, d)
-    return derive_both_settings(g, d, part)
-
-
 def steering_statistic(
     g: Graph, d: int, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
@@ -79,7 +67,7 @@ def steering_statistic(
 
 def _noiseless_tables(g: Graph, d: int, part: Bipartition):
     """The (2, d, d) stack of noiseless joint tables, one per setting."""
-    return stabilizer_table(g, d, [(s, s) for s in checked_settings(g, d, part)], part)
+    return stabilizer_table(g, d, [(s, s) for s in derive_both_settings(g, d, part)], part)
 
 
 def _noisy_i_total(tables, p):

@@ -27,7 +27,6 @@ from . import (
     noise_threshold,
     stabilizer_table,
 )
-from .registers import MAX_STATE_BYTES
 
 
 def check_ideal_correlations():
@@ -82,9 +81,8 @@ def check_noise_threshold():
 
 
 def check_key_rate_row():
-    """One fig4 row, i_total = 2(log2 d - H(p(d-1)/d)), on the largest star the register admits."""
-    d, p = 2, 0.1
-    n = (MAX_STATE_BYTES // 16).bit_length() - 1  # 16 * 2^n bytes fit: star(24)
+    """One fig4 row, i_total = 2(log2 d - H(p(d-1)/d)), on star(10^4), whose state vector has 2^10000 entries."""
+    d, p, n = 2, 0.1, 10 ** 4
     g = make_star(n)
     [(_, i_total, _)] = key_rate_scan(g, d, Bipartition.from_side_a(g, {1}), [p])
     closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))

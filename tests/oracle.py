@@ -17,7 +17,7 @@ from graphsteering import protocol
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
 from graphsteering.registers import DensityOperator, QuditRegister
 from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
-from graphsteering.steering import checked_settings
+from graphsteering.steering import derive_both_settings
 
 
 def _form_values(coeffs, d: int) -> np.ndarray:
@@ -126,7 +126,7 @@ def table_mutual_information(joint) -> float:
 
 def key_rate_rows(g, d: int, part, p_grid) -> list:
     """(p, i_total, r_lower) one noise level and one table at a time."""
-    tables = [pair_table(g, d, s, s, part) for s in checked_settings(g, d, part)]
+    tables = [pair_table(g, d, s, s, part) for s in derive_both_settings(g, d, part)]
     threshold = float(np.log2(d))
     rows = []
     for p in p_grid:

@@ -13,7 +13,13 @@ from click.testing import CliRunner
 
 import oracle
 from graphsteering import cli, graphstate
-from graphsteering.cli import FIG4_BYTES_PER_ROW, QSS_BYTES_PER_ROUND, TABLE_BYTES_PER_ENTRY, main
+from graphsteering.cli import (
+    FIG4_BYTES_PER_ROW,
+    GRAPH_BYTES_PER_ELEMENT,
+    QSS_BYTES_PER_ROUND,
+    TABLE_BYTES_PER_ENTRY,
+    main,
+)
 from graphsteering.registers import MAX_STATE_BYTES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -153,19 +159,19 @@ class TestCertify:
         assert field in res.stderr
 
     def test_oversized_register_exit_2(self, runner, tmp_path):
-        # refused before the 2^63-candidate setting search or any allocation
+        # a 2^64-amplitude state vector: no command builds one, so star(64) is certified
         path = tmp_path / "star64.json"
         path.write_text(json.dumps({"n": 64, "d": 2, "edges": [[1, k] for k in range(2, 65)]}))
         res = runner.invoke(main, ["certify", str(path)])
-        assert res.exit_code == 2
-        assert "RegisterTooLarge" in res.stderr
+        assert res.exit_code == 0
+        assert abs(json.loads(res.output)["i_total"] - 2.0) < 1e-9
 
     def test_long_register_refused_before_partition(self, runner, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
         res = runner.invoke(main, ["certify", str(path)])
         assert res.exit_code == 2
-        assert res.stderr.startswith("error: RegisterTooLarge")
+        assert res.stderr.startswith("error: graph n + |E| 100000001 needs")
 
     @pytest.mark.parametrize(
         "doc, partition",
@@ -279,15 +285,17 @@ class TestFig4:
             assert max(abs(a - b) for a, b in zip(outputs[0], other)) < 1e-9
 
     def test_oversized_register_exit_2(self, runner):
+        # the rows of star(64) are those of star(3): no state vector is built
         res = runner.invoke(main, ["fig4", "--d", "2", "--n", "64", "--steps", "2"])
-        assert res.exit_code == 2
-        assert "RegisterTooLarge" in res.stderr
+        assert res.exit_code == 0
+        _, _, rows = parse_csv(res.output)
+        assert [r[1] for r in rows] == ["64", "64"] and abs(float(rows[0][3]) - 2.0) < 1e-9
 
     def test_oversized_star_refused_before_built(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "make_star", reached)
         res = runner.invoke(main, ["fig4", "--d", "2", "--n", "100000000", "--steps", "2"])
         assert res.exit_code == 2
-        assert "RegisterTooLarge" in res.stderr
+        assert res.stderr.startswith("error: --n 100000000 needs")
 
     def test_oversized_grid_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--d", "2", "--steps", "10000000000"])
@@ -338,9 +346,11 @@ class TestFig5AndDc:
         assert abs(float(rows[1][1]) - 0.1595) < 5e-4
 
     def test_fig5_oversized_register_exit_2(self, runner):
+        # star(3) at d=1000 needs no 16 * 1000^3-byte state: the table bound admits it
         res = runner.invoke(main, ["fig5", "--d", "1000"])
-        assert res.exit_code == 2
-        assert res.stderr.startswith("error: RegisterTooLarge")
+        assert res.exit_code == 0
+        _, _, rows = parse_csv(res.output)
+        assert abs(float(rows[0][1]) - 0.4029) < 1e-4
 
     def test_consistency_between_commands(self, runner):
         res_dc = runner.invoke(main, ["dc", "--d", "2,3"])
@@ -451,17 +461,17 @@ class TestQss:
         path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
         res = runner.invoke(main, ["qss", "--graph-file", str(path), "--rounds", "10"])
         assert res.exit_code == 2
-        assert res.stderr.startswith("error: RegisterTooLarge")
+        assert res.stderr.startswith("error: graph n + |E| 100000001 needs")
 
     def test_long_register_with_disturbance_refused(self, runner, tmp_path):
-        # the cloner model never builds the N-qudit state, but the size guard still runs
+        # the cloner model never lists the graph's vertices, but the graph-size bound still runs
         path = tmp_path / "huge.json"
         path.write_text('{"n": 100000000, "d": 2, "edges": [[1, 2]]}')
         res = runner.invoke(
             main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "10"]
         )
         assert res.exit_code == 2
-        assert res.stderr.startswith("error: RegisterTooLarge")
+        assert res.stderr.startswith("error: graph n + |E| 100000001 needs")
 
     def test_oversized_round_arrays_exit_2(self, runner):
         res = runner.invoke(main, ["qss", "--rounds", "10000000000"])
@@ -538,14 +548,19 @@ class TestQss:
 
     @pytest.mark.parametrize("d", [1000, 10 ** 6])
     def test_oversized_cloner_register_exit_2(self, runner, tmp_path, d):
-        # the attacked tables take O(d^2), so the 3-qudit graph's own register refuses these d
+        # the attacked tables take O(d^2): the table bound admits d = 1000 on three qudits,
+        # whose register would need 16 * 1000^3 bytes, and refuses d = 10^6
         path = tmp_path / "wide.json"
         path.write_text(json.dumps({"n": 3, "d": d, "edges": [[1, 2], [1, 3]]}))
         res = runner.invoke(
-            main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "10"]
+            main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "1000"]
         )
-        assert res.exit_code == 2
-        assert res.stderr.startswith("error: RegisterTooLarge")
+        if d == 1000:
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.output)["steerable_hat"] is True
+        else:
+            assert res.exit_code == 2
+            assert res.stderr.startswith(f"error: d {d} needs")
 
     def test_graph_file_with_d3(self, runner, tmp_path):
         path = tmp_path / "chain4d3.json"
@@ -565,6 +580,19 @@ TABLE_COMMANDS = [("certify", 2), ("fig4", 2), ("qss", 4)]
 def largest_table_d(tables):
     """The largest d whose ``tables`` joint tables, TABLE_BYTES_PER_ENTRY an entry, fit in MAX_STATE_BYTES."""
     return math.isqrt(MAX_STATE_BYTES // (TABLE_BYTES_PER_ENTRY * tables))
+
+
+# The largest star whose n + |E| = 2n - 1 elements, GRAPH_BYTES_PER_ELEMENT each, fit in MAX_STATE_BYTES.
+LARGEST_STAR = (MAX_STATE_BYTES // GRAPH_BYTES_PER_ELEMENT + 1) // 2
+
+
+def star_command(command, n, directory):
+    """Arguments of ``command`` on star(n) at d=2: a graph file, or fig4's --n."""
+    if command == "fig4":
+        return ["fig4", "--d", "2", "--n", str(n), "--steps", "2"]
+    path = directory / f"star{n}.json"
+    path.write_text(json.dumps({"n": n, "d": 2, "edges": [[1, k] for k in range(2, n + 1)]}))
+    return [command, str(path)] if command == "certify" else ["qss", "--graph-file", str(path), "--rounds", "1000"]
 
 
 def table_command(command, d, directory):
@@ -615,11 +643,29 @@ class TestLargestAcceptedSizes:
         proc = run_child(table_command("qss", d, tmp_path) + ["--disturbance", "0.1"], baseline + MAX_STATE_BYTES)
         assert proc.returncode == 0, proc.stderr
 
+    def test_largest_star(self, baseline, tmp_path):
+        # star(262144) at d=2: about 3 s on a 2-CPU VM
+        proc = run_child(star_command("certify", LARGEST_STAR, tmp_path), baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["certify", "fig4", "qss"])
+    def test_graph_bound_at_boundary(self, runner, monkeypatch, tmp_path, command):
+        # the next star is refused before its vertices are listed or the star is built
+        for stage in ("make_star", "derive_both_settings", "run_protocol"):
+            monkeypatch.setattr(cli, stage, reached)
+        monkeypatch.setattr(cli.Bipartition, "from_side_a", reached)
+        res = runner.invoke(main, star_command(command, LARGEST_STAR, tmp_path))
+        assert isinstance(res.exception, Reached)
+        res = runner.invoke(main, star_command(command, LARGEST_STAR + 1, tmp_path))
+        assert res.exit_code == 2
+        size = LARGEST_STAR + 1 if command == "fig4" else 2 * LARGEST_STAR + 1
+        assert res.stderr.startswith(f"error: {'--n' if command == 'fig4' else 'graph n + |E|'} {size} needs")
+
     @pytest.mark.parametrize("command, tables", [*TABLE_COMMANDS, ("fig5", 2)])
     def test_table_bound_at_boundary(self, runner, monkeypatch, tmp_path, command, tables):
         # the next d is refused before any table, setting or star is built
         d = largest_table_d(tables)
-        for stage in ("make_star", "checked_settings", "run_protocol"):
+        for stage in ("make_star", "derive_both_settings", "run_protocol"):
             monkeypatch.setattr(cli, stage, reached)
         res = runner.invoke(main, table_command(command, d, tmp_path))
         assert isinstance(res.exception, Reached)
@@ -651,7 +697,7 @@ class TestVerify:
 
 
 class TestNoStateVector:
-    """Every production command runs with the d^N state builders made to raise."""
+    """Every production command runs with the d^N state builders and the dense registers made to raise."""
 
     @pytest.fixture(autouse=True)
     def refuse_state_vectors(self, monkeypatch):
@@ -660,7 +706,7 @@ class TestNoStateVector:
 
         package = [m for name, m in sys.modules.items() if name.split(".")[0] == "graphsteering"]
         for module in package + [oracle]:
-            for attr in ("build_graph_state", "outcome_table"):
+            for attr in ("build_graph_state", "outcome_table", "QuditRegister", "cloner_output", "PureState", "DensityOperator"):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
 
@@ -675,14 +721,23 @@ class TestNoStateVector:
             ["qss", "--rounds", "2000", "--disturbance", "0.05"],
             ["qss", "--graph-file", "CHAIN4_D3", "--rounds", "2000", "--p", "0.1"],
             ["verify"],
+            # refused by the d^N register limit before: 16 * 2^64 and 16 * 3^100 bytes
+            ["certify", "STAR64"],
+            ["qss", "--graph-file", "CHAIN100_D3", "--rounds", "2000"],
         ],
     )
     def test_exits_0(self, runner, star3_file, tmp_path, args):
         chain = tmp_path / "chain4d3.json"
         chain.write_text('{"n":4,"d":3,"edges":[[1,2],[2,3],[3,4]]}')
-        files = {"GRAPH": star3_file, "CHAIN4_D3": str(chain)}
+        star64 = tmp_path / "star64.json"
+        star64.write_text(json.dumps({"n": 64, "d": 2, "edges": [[1, k] for k in range(2, 65)]}))
+        chain100 = tmp_path / "chain100d3.json"
+        chain100.write_text(json.dumps({"n": 100, "d": 3, "edges": [[k, k + 1] for k in range(1, 100)]}))
+        files = {"GRAPH": star3_file, "CHAIN4_D3": str(chain), "STAR64": str(star64), "CHAIN100_D3": str(chain100)}
         res = runner.invoke(main, [files.get(a, a) for a in args])
         assert res.exit_code == 0, res.output
+        if "STAR64" in args:
+            assert abs(json.loads(res.output)["i_total"] - 2.0) < 1e-9
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import random
 import time
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from graphsteering import (
@@ -32,6 +34,7 @@ from graphsteering import (
     white_noise,
 )
 from graphsteering import schmidt
+from graphsteering.cli import main
 from graphsteering.registers import haar_vector, permute_qudits
 from graphsteering.schmidt import COMPUTATIONAL, FOURIER, characteristic_table, side_order
 from oracle import edge_characteristic_table, outcome_table, pair_table
@@ -861,3 +864,94 @@ class TestPinnedForms:
                 except NoCorrelationForm as exc:
                     out.append(str(exc))
             assert got == expected
+
+
+def dense_case(seed):
+    """Positions 1..7 each read vertex 8..n with probability 0.6; A is a random half."""
+    rng = random.Random(seed)
+    n = rng.randint(20, 24)
+    edges = set()
+    for b in range(8, n + 1):
+        readers = [a for a in range(1, 8) if rng.random() < 0.6] or [rng.randint(1, 7)]
+        edges |= {(a, b) for a in readers}
+    return Graph(n, frozenset(edges)), set(rng.sample(range(1, n + 1), n // 2))
+
+
+def complete_bipartite(a, b):
+    """K_{a,b}: vertices 1..a joined to a+1..a+b."""
+    return Graph(a + b, frozenset((i, a + j) for i in range(1, a + 1) for j in range(1, b + 1)))
+
+
+# Cuts whose exact search runs for minutes (2-CPU VM): dense_case(5) and (10) over
+# 30 s at d=30, dense_case(0) 12.9 s, K_{4,50} 20.6 s, K_{4,100} 273 s for m=1
+# alone, K_{24,24} over 100 s.  The budget stops each in 0.05-0.5 s.
+BUDGET_CASES = [
+    pytest.param(*dense_case(5), 30, id="dense5-d30"),
+    pytest.param(*dense_case(10), 30, id="dense10-d30"),
+    pytest.param(*dense_case(0), 30, id="dense0-d30"),
+    pytest.param(complete_bipartite(4, 50), {1}, 3, id="K4,50-d3"),
+    pytest.param(complete_bipartite(4, 100), {1}, 3, id="K4,100-d3"),
+    pytest.param(complete_bipartite(24, 24), {1}, 2, id="K24,24-d2"),
+]
+
+
+@pytest.fixture
+def budget_stops(monkeypatch):
+    """Records each search the budget stops."""
+    stops = []
+
+    class Recorded(schmidt._OutOfBudget):
+        def __init__(self, *args):
+            stops.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(schmidt, "_OutOfBudget", Recorded)
+    return stops
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("g, side_a, d", BUDGET_CASES)
+    def test_informative_forms_in_bounded_time(self, budget_stops, g, side_a, d):
+        part = Bipartition.from_side_a(g, side_a)
+        start = time.perf_counter()
+        settings = derive_both_settings(g, d, part)
+        assert time.perf_counter() - start < 5.0
+        assert budget_stops
+        tables = stabilizer_table(g, d, [(s, s) for s in settings], part)
+        np.testing.assert_allclose(tables, np.broadcast_to(np.eye(d) / d, tables.shape), atol=1e-12)
+        assert abs(mutual_information(tables).sum() - 2 * np.log2(d)) < 1e-9
+        assert form_data(derive_both_settings(g, d, part)) == form_data(settings)  # a count, not a timer
+
+    def test_certify_dense_graph(self, tmp_path):
+        # the 16 * 30^n-byte register limit refused this file before
+        g, side_a = dense_case(5)
+        path = tmp_path / "dense5.json"
+        path.write_text(json.dumps({"n": g.n_vertices, "d": 30, "edges": [list(e) for e in sorted(g.edges)]}))
+        res = CliRunner().invoke(main, ["certify", str(path), "--partition", ",".join(map(str, sorted(side_a)))])
+        assert res.exit_code == 0, res.output
+        assert abs(json.loads(res.output)["i_total"] - 2 * np.log2(30)) < 1e-9
+
+
+# sha256 over form_data of both settings, computed before the search had a budget:
+# cuts whose search is linear in the cut, which the budget must not stop (0.3-0.9 s
+# each).  The graphs are built in the test, so the session does not hold them.
+LINEAR_CUT_DIGESTS = [
+    pytest.param(make_star, (10 ** 5,), {1}, 3,
+                 "7893108325b53bd0b341c022c39ec6017d471286b1840680d35e232a3cc968c5", id="star1e5-center-d3"),
+    pytest.param(make_chain, (10 ** 5,), set(range(1, 50001)), 3,
+                 "9b3a988ad3e66ef8219d5511dea0d3f2a5ffd335bf9fe0fcfd8a2df1ee7cf1e8", id="chain1e5-halves-d3"),
+    pytest.param(make_grid, (300, 300), set(range(1, 45001)), 2,
+                 "1b383551fd820ec949c7cf2e8e51ebd824226e87795007d868ed012ec6705e96", id="grid300-halves-d2"),
+    pytest.param(make_grid, (300, 300), set(range(1, 45001)), 6,
+                 "72f1456ff747a035ae1e3f9d95531e8924cfc90527a87b05844b53ee68d5ce7e", id="grid300-halves-d6"),
+]
+
+
+@pytest.mark.parametrize("make, size, side_a, d, digest", LINEAR_CUT_DIGESTS)
+def test_budget_keeps_linear_forms(budget_stops, make, size, side_a, d, digest):
+    g = make(*size)
+    h = hashlib.sha256()
+    for form in form_data(derive_both_settings(g, d, Bipartition.from_side_a(g, side_a))):
+        h.update(repr(form).encode())
+    assert h.hexdigest() == digest
+    assert not budget_stops

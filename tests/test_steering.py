@@ -5,7 +5,6 @@ from graphsteering import (
     Bipartition,
     Graph,
     NotTwoColorable,
-    RegisterTooLarge,
     build_graph_state,
     critical_disturbance,
     derive_both_settings,
@@ -18,8 +17,7 @@ from graphsteering import (
     two_color,
     white_noise,
 )
-from graphsteering import graphs, steering
-from graphsteering.steering import checked_settings
+from graphsteering import graphs
 from oracle import key_rate_rows
 
 
@@ -215,23 +213,6 @@ class TestDeriveBothSettings:
             with pytest.raises(NotTwoColorable):
                 derive_both_settings(g, 2, Bipartition.from_side_a(g, side_a))
         assert len(calls) == 2
-
-
-def _must_not_run(*args):
-    raise AssertionError("called after the input should have been refused")
-
-
-class TestCheckedSettings:
-    def test_odd_cycle_refused(self):
-        g = Graph(21, frozenset((k, k % 21 + 1) for k in range(1, 22)))
-        with pytest.raises(NotTwoColorable):
-            checked_settings(g, 2, Bipartition.from_side_a(g, {1}))
-
-    def test_oversized_register_refused_before_setting_search(self, monkeypatch):
-        monkeypatch.setattr(steering, "derive_both_settings", _must_not_run)
-        g = make_star(64)
-        with pytest.raises(RegisterTooLarge):
-            checked_settings(g, 2, Bipartition.from_side_a(g, {1}))
 
 
 class TestDisturbanceEntropy:
