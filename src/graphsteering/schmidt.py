@@ -4,17 +4,16 @@ A setting assigns each vertex a local basis (computational or Fourier,
 depending on its color and on which of the two complementary settings is
 chosen) and coarse-grains the tuple of local outcomes on each side of the
 bipartition into a single Z_d value through a linear form.  The forms come
-from a stabilizer element whose shift part lies on the Fourier-measured
-vertices and whose clock part lies on the computational ones: its eigenvalue
-constraint makes the two side-local values coincide on the ideal state.
+from one graph-state stabilizer generator X_a Z_N(a), its shift on a
+Fourier-measured vertex a with a neighbour across the cut and its clock on
+a's computational neighbours: its eigenvalue constraint makes the two
+side-local values coincide on the ideal state.  Every informative element
+gives the same closed-form tables, so one generator serves for every cut.
 """
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,21 +24,10 @@ from .registers import DensityOperator, PureState, QuditRegister, permute_qudits
 
 COMPUTATIONAL = "computational"
 FOURIER = "fourier"
-# Units of work a setting search may spend (reader visits, leaf candidates,
-# neighbour reads of the sets scored, exponents tried and the neighbours each
-# settles, union steps), plus so many per vertex and edge.  2-CPU VM: the tests'
-# dense cuts stop in 0.05-0.35 s, no other test or benchmark cut but the large
-# ones spends over 6,878 units, and the half cut of grid(300x300) 1.34 an element.
-SEARCH_UNITS = 200_000
-SEARCH_UNITS_PER_ELEMENT = 4
 
 
 class NoCorrelationForm(RuntimeError):
     """No stabilizer element correlates the two sides: no edge crosses the cut."""
-
-
-class _OutOfBudget(Exception):
-    """The setting search has spent its units of work."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,16 +103,22 @@ def derive_setting(
 
     For m=1 the color-0 vertices are measured in the computational basis and
     color-1 in the Fourier basis; m=2 swaps the roles.  The coarse-graining
-    forms come from the subgroup generated by the stabilizers of the
-    Fourier-measured color class, and only informative elements qualify
-    (gcd(c, d) = 1 for the cross-cut vector c, see ``_cross_gcd``).  The
-    canonical element is the informative one acting on the fewest vertices
-    (ties broken by vertex support, then exponents).  One exists iff some
-    Fourier-measured vertex has a neighbour across the cut: the crossing
-    edges, read from ``g.adjacency`` at the smaller side, are checked first.
-    Every d is searched by ``_connected_search``, which also joins unlinked
-    sets of positions when d has several distinct primes.  The form is the
-    canonical one whenever that search ends within its budget.
+    forms come from one stabilizer generator g_a = X_a Z_N(a) of a
+    Fourier-measured vertex a with a neighbour across the cut (a boundary
+    vertex), read from ``g.adjacency`` at the smaller side: the least by
+    (|N[a]|, sorted N[a]).  Exponent 1 on g_a puts -1 on a (its outcome w
+    carries X-eigenvalue -w) and +1 on each neighbour, so its eigenvalue
+    constraint makes the two side-local values coincide on the ideal state.
+
+    g_a is informative: its cross-cut vector c is 1 at every neighbour of a
+    across the cut, so gcd(c, d) = 1.  With S = S_A (x) S_B, a power S_A^s is
+    a stabilizer, up to a phase, iff s c = 0 mod d (Hein, Eisert & Briegel,
+    PRA 69, 062311), so the A-side value is uniform, the ideal table is the
+    identity over d with I = log2 d, and the forms are onto Z_d.  Every
+    informative element gives that table, and white noise mixes into each
+    alike, so no number depends on which one is taken.  Without a boundary
+    vertex no edge crosses the cut, c = 0 for every element, and the cut is
+    refused.
     """
     if m not in (1, 2):
         raise ValueError("m must be 1 or 2")
@@ -133,331 +127,23 @@ def derive_setting(
         v: FOURIER if c == fourier_color else COMPUTATIONAL for v, c in coloring.colors.items()
     }
 
-    # No edge joins two Fourier vertices, so every neighbour of a Fourier vertex is
-    # computational, and every neighbour of a computational vertex reads it.
+    # Every edge joins the two color classes, so each crossing edge has one Fourier end.
     adjacency = g.adjacency
-    neighbors = {a: adjacency[a] for a in sorted(v for v, c in coloring.colors.items() if c == fourier_color)}
-    # Alone, with exponent 1, a boundary position has c = (1, ..., 1); with none, c = 0 always.
     inner = min(part.side_a, part.side_b, key=len)
-    boundary = sorted({v if v in neighbors else w for v in inner for w in adjacency[v] if w not in inner})
+    boundary = {
+        v if coloring.colors[v] == fourier_color else w for v in inner for w in adjacency[v] if w not in inner
+    }
     if not boundary:
         raise NoCorrelationForm(
             f"no Fourier-measured vertex has a neighbour across the cut A={list(part.a_vertices)} "
             f"for setting m={m}: no edge crosses the cut, so the state is a product across it"
         )
-    units = SEARCH_UNITS + SEARCH_UNITS_PER_ELEMENT * (g.n_vertices + len(g.edges))
-    coeff = _coefficients(*_connected_search(d, neighbors, adjacency, part.side_a, boundary, units), neighbors)
+    a = min(boundary, key=lambda v: (len(adjacency[v]), sorted((v, *adjacency[v]))))
+    coeff = dict.fromkeys(adjacency[a], 1)
+    coeff[a] = -1
     fa = tuple([coeff.get(v, 0) % d for v in part.a_vertices])
     fb = tuple([-coeff.get(v, 0) % d for v in part.b_vertices])
     return MeasurementSetting(m, local_bases, part.a_vertices, part.b_vertices, fa, fb)
-
-
-def _coefficients(positions, values, neighbors) -> dict:
-    """Form coefficient of every vertex under the stabilizer element with these exponents.
-
-    Exponent n_a on Fourier vertex a puts -n_a on a (its outcome w carries
-    X-eigenvalue -w) and +n_a on each of its neighbours.
-    """
-    coeff = {}
-    for a, n_a in zip(positions, values):
-        coeff[a] = coeff.get(a, 0) - n_a
-        for b in neighbors[a]:
-            coeff[b] = coeff.get(b, 0) + n_a
-    return coeff
-
-
-def _cross_gcd(positions, values, neighbors, side_a, d: int) -> int:
-    """gcd(d, c) for the element's cross-cut vector c; the element is informative iff it is 1.
-
-    c_b sums, at each computational vertex b, the exponents of b's Fourier
-    neighbours on the other side of the cut.  With S = S_A (x) S_B, S_A^s is
-    in the graph-state stabilizer group (Hein, Eisert & Briegel, PRA 69,
-    062311), up to a phase, iff s c = 0 mod d.  So gcd(c, d) = 1 leaves the
-    A-side value uniform, the ideal table carries I = log2 d, and the forms
-    are onto Z_d; otherwise the table has I < log2 d (I = 0 for a product
-    element, c = 0).
-    """
-    cross = {}
-    for a, n_a in zip(positions, values):
-        in_a = a in side_a
-        for b in neighbors[a]:
-            if (b in side_a) != in_a:
-                cross[b] = cross.get(b, 0) + n_a
-    return math.gcd(d, *cross.values())
-
-
-def _connected_search(d: int, neighbors: dict, readers: dict, side_a, boundary, units: int):
-    """Canonical informative (positions, exponents), from link-connected sets and their unions.
-
-    Two Fourier positions are linked when they share a neighbour.  Sets in
-    different link components have disjoint closed neighbourhoods, so each
-    adds its own entries to the cross-cut vector c and its own vertices to
-    the support, and the element's gcd(d, c) is the gcd of theirs.  For
-    d = p^k an element is informative iff some entry of c is not divisible
-    by p, and the component holding it is informative alone, so the minimum
-    is one connected set: dropping the other components shrinks the support.
-    That set holds a boundary position, one with a neighbour across the cut,
-    since only those add to c; and each boundary position alone, with
-    exponent 1, is informative and acts on its closed neighbourhood N[a].
-
-    The least such singleton bounds the sets of w >= 2 positions.  A set of
-    w positions acts on at least those w vertices, so the search stops once
-    w exceeds the best support size; below it, each connected set is grown
-    once, under its least boundary position.  At w equal to it, a rival
-    acts on its positions alone and must sort before the best support, so
-    its least member is at most the support's first vertex and lies within
-    link distance w - 1 of a boundary position: the sets are grown instead
-    under their least member, in increasing order, and the level ends at the
-    first root whose w least positions onwards sort after the best support.
-
-    Sets are grown depth first by ESU (Wernicke 2006): a set grows only by
-    link neighbours of its newest member that are linked to no earlier
-    member, and a candidate passed over is not added further down, so each
-    set is reached once.  Links are found through the shared neighbours as
-    the sets grow, so the link clique of a high-degree vertex is never
-    built.  A set is scored only if it can beat the best key: its positions
-    and the neighbours exactly one of them reads keep a nonzero coefficient
-    under every choice of exponents, so their number bounds its support from
-    below, and a set whose bound exceeds the best support size is dropped as
-    it is reached.  ``reads`` counts, for each computational vertex, the
-    members of the growing set that read it, and ``once`` the vertices read
-    exactly once; both follow the members as they are added and removed, so
-    a set's bound costs one pass over its last member's neighbours.
-
-    When d has several distinct primes, the minimum can instead be a union of
-    unlinked partial sets: connected sets with 1 < gcd(d, c) < d, each with a
-    boundary position and fewer vertices than the best connected set, which
-    ``_least_key`` collects and ``_least_union`` joins.  Prime d has none.  The
-    positions of the result are the Fourier vertices of its support.
-
-    The work is counted against ``units``.  The result is the canonical
-    minimum whenever the search ends within them, and otherwise the least key
-    found so far, which is informative, so every table is the same.
-    """
-    on_boundary = frozenset(boundary)
-    best_key, parts = (math.inf,), []
-    for a in boundary:  # whatever the exponent, {a} acts on N[a]
-        support = tuple(sorted((a, *neighbors[a])))
-        best_key = min(best_key, (len(support), support, (1,)))
-    left = [units]
-    def spend(work):
-        left[0] -= work
-        if left[0] < 0:
-            raise _OutOfBudget
-    try:
-        order = list(neighbors)  # every position, ascending
-        reads = {}  # computational vertex -> members of the growing set that read it
-        for w in itertools.count(2):
-            if w > best_key[0]:
-                break
-            if w < best_key[0]:  # each set under its least boundary position
-                starts, allowed = boundary, lambda root, u: u > root or u not in on_boundary
-            else:
-                if _least_from(order, order[0], w) > best_key[1]:
-                    break
-                roots = list(itertools.takewhile(best_key[1][0].__ge__, order))
-                ball = _link_ball(boundary, w - 1, neighbors, readers) if roots else ()
-                starts = itertools.takewhile(  # roots ascend, and the best support only falls
-                    lambda root: _least_from(order, root, w) <= best_key[1],
-                    [root for root in roots if root in ball],
-                )
-                allowed = operator.lt
-            grown = False
-            for root in starts:
-                extension = _exclusive(root, root, allowed, neighbors, readers, reads, spend)
-                if not extension:  # nothing grows from this root
-                    continue
-                members, frames = [root], [extension]  # a frame is pushed only with candidates
-                once = _count_reads(reads, neighbors[root], 1)
-                while frames:
-                    extension = frames[-1]
-                    if len(members) + 1 < w and extension:  # grow by the next candidate
-                        u = extension.pop()
-                        child = extension + _exclusive(root, u, allowed, neighbors, readers, reads, spend)
-                        if child:
-                            frames.append(child)
-                            once += _count_reads(reads, neighbors[u], 1)
-                            members.append(u)
-                        continue
-                    if len(members) + 1 == w:  # each candidate completes a set
-                        grown = True
-                        spend(len(extension))
-                        for u in extension:
-                            lower = w + once  # the positions and the neighbours read once, with u
-                            for b in neighbors[u]:
-                                count = reads.get(b, 0)
-                                if count == 0:
-                                    lower += 1
-                                elif count == 1:
-                                    lower -= 1
-                            if lower > best_key[0]:
-                                continue
-                            positions = tuple(sorted((*members, u)))
-                            if on_boundary.isdisjoint(positions) or w == best_key[0] and positions > best_key[1]:
-                                continue
-                            best_key = _least_key(positions, d, neighbors, side_a, best_key, parts, spend) or best_key
-                    frames.pop()
-                    once += _count_reads(reads, neighbors[members.pop()], -1)
-            if not grown:  # no connected set of w positions, so none of more
-                break
-        best_key = _least_union(sorted(parts), best_key, spend) or best_key
-    except _OutOfBudget:  # the least key found so far stands
-        pass
-    return tuple(v for v in best_key[1] if v in neighbors), best_key[2]
-
-
-def _exclusive(root, w, allowed, neighbors, readers, reads, spend) -> list:
-    """Allowed link neighbours of ``w`` linked to no member, the members' neighbours being ``reads``."""
-    touched, out, visits = reads.keys(), {}, 0
-    for b in neighbors[w]:
-        if b not in reads:
-            visits += len(readers[b])
-            for u in readers[b]:
-                if u != w and u not in out and allowed(root, u) and touched.isdisjoint(neighbors[u]):
-                    out[u] = None
-    spend(visits)
-    return list(out)
-
-
-def _count_reads(reads, vertices, step) -> int:
-    """Add ``step`` (1 or -1) to each vertex's read count; returns the change in vertices read once."""
-    change = 0
-    for b in vertices:
-        count = reads.get(b, 0)
-        if count + step:
-            reads[b] = count + step
-        else:
-            del reads[b]
-        change += (count + step == 1) - (count == 1)
-    return change
-
-
-def _least_union(parts, bound, spend, start=0, union=(), reads=frozenset(), g=0):
-    """Least key below ``bound`` of an informative union of unlinked ``parts``, or None.
-
-    ``parts`` holds partial sets (key, positions, neighbours, gcd) in key
-    order.  No part of the least union can be dropped, so each lowers the gcd.
-    """
-    best, size = None, sum(part[0][0] for part in union)
-    for i in range(start, len(parts)):
-        spend(1)
-        key, _, part_reads, part_g = part = parts[i]
-        if size + key[0] > bound[0]:
-            break  # parts ascend in size
-        h = math.gcd(g, part_g)
-        if h == g or not reads.isdisjoint(part_reads):  # no gain, or linked
-            continue
-        if h > 1:
-            found = _least_union(parts, bound, spend, i + 1, (*union, part), reads | part_reads, h)
-        else:
-            pairs = [p for (*_, values), positions, *_ in (*union, part) for p in zip(positions, values)]
-            support = tuple(sorted(v for (_, vs, _), *_ in (*union, part) for v in vs))
-            found = (len(support), support, tuple(n for _, n in sorted(pairs)))
-        if found and found < bound:
-            bound = best = found
-    return best
-
-
-def _link_ball(seeds, radius, neighbors, readers) -> set:
-    """Positions within link distance ``radius`` of ``seeds``, by breadth-first search."""
-    ball, ring, crossed = set(seeds), list(seeds), set()
-    for _ in range(radius):
-        ring_next = []
-        for a in ring:
-            for b in neighbors[a]:
-                if b not in crossed:
-                    crossed.add(b)
-                    for u in readers[b]:
-                        if u not in ball:
-                            ball.add(u)
-                            ring_next.append(u)
-        ring = ring_next
-    return ball
-
-
-def _least_from(order, root, w):
-    """The w least positions from ``root`` on; no w-set whose least member is ``root`` sorts before them."""
-    i = bisect.bisect_left(order, root)
-    return tuple(order[i:i + w])
-
-
-def _least_key(positions, d, neighbors, side_a, bound, parts, spend):
-    """Least informative (support size, support, exponents) below ``bound``, or None.
-
-    A neighbour read by one position always carries a nonzero coefficient;
-    only those read by several can cancel, and the caller has checked that
-    the positions and the neighbours read once fit within the bound.  The
-    exponents n_1, n_2, ... are fixed depth first, each in increasing
-    order, so vectors come in the order ``itertools.product`` gives them.
-    A shared neighbour is settled once its last reader has an exponent, and
-    a branch ends as soon as the settled neighbours left uncancelled do not
-    fit: when only s more fit and k are settled at a position, at least
-    k - s must cancel, so its exponent is -(the sum of the others') mod d
-    for one of them, and a tight bound fixes it.  At d = 2 all ones is the
-    only vector; with no shared neighbour, every vector has the same
-    support, and all ones is the least.  The cross-cut test runs only on a
-    key that beats the bound, and the least key of each gcd strictly between
-    1 and d joins ``parts``.
-    """
-    spend(sum([len(neighbors[a]) for a in positions]))
-    reads = {}  # computational vertex -> indices of its neighbours among the positions
-    for i, a in enumerate(positions):
-        for b in neighbors[a]:
-            reads.setdefault(b, []).append(i)
-    fixed = [*positions]
-    settled = [[] for _ in positions]  # shared neighbours (vertex, its other readers), by last reader
-    for b, idx in reads.items():
-        if len(idx) == 1:
-            fixed.append(b)
-        else:
-            settled[idx[-1]].append((b, idx[:-1]))
-    if len(fixed) == bound[0] and tuple(sorted(fixed)) > bound[1]:
-        return None  # a tight bound leaves the support ``fixed`` alone, which sorts after the best
-    w = len(positions)
-    values = [1] * w
-    best, least = None, {}  # least partial key per gcd
-    if d == 2 or not any(settled):  # one vector, or one support for all: all ones is the least
-        left = [b for group in settled for b, others in group if (len(others) + 1) % d]
-        if len(fixed) + len(left) <= bound[0]:
-            best = _score(values, fixed + left, positions, neighbors, side_a, d, bound, least)
-    else:
-        def descend(i, left):  # exponents from position i on; ``left`` holds the uncancelled settled neighbours
-            nonlocal bound, best
-            room = bound[0] - len(fixed) - len(left)  # settled neighbours that may stay uncancelled
-            cancel = [(b, -sum([values[j] for j in others]) % d) for b, others in settled[i]]  # n_i cancelling b
-            for n in range(1, d) if len(cancel) <= room else sorted({n for _, n in cancel} - {0}):
-                spend(1 + len(cancel))
-                values[i] = n
-                kept = left + [b for b, n_b in cancel if n_b != n]
-                if len(fixed) + len(kept) > bound[0]:
-                    continue
-                if i + 1 < w:
-                    descend(i + 1, kept)
-                    continue
-                key = _score(values, fixed + kept, positions, neighbors, side_a, d, bound, least)
-                if key:
-                    bound = best = key
-
-        descend(0, [])
-    parts += [(key, positions, reads.keys(), g) for g, key in least.items()]
-    return best
-
-
-def _score(values, support, positions, neighbors, side_a, d, bound, least):
-    """The key of exponents ``values`` acting on ``support``, if it is informative and beats ``bound``.
-
-    A partial key (1 < gcd < d) that beats both ``bound`` and the least one of
-    its gcd so far replaces that in ``least`` instead.
-    """
-    support = tuple(sorted(support))
-    key = (len(support), support, tuple(values))
-    if key < bound:
-        g = _cross_gcd(positions, values, neighbors, side_a, d)
-        if g == 1:
-            return key
-        if g < d and key < least.get(g, bound):
-            least[g] = key
-    return None
 
 
 def _product_basis(setting: MeasurementSetting, vertices, d: int) -> np.ndarray:

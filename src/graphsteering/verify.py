@@ -32,12 +32,19 @@ from . import (
 def check_ideal_correlations():
     """Diagonal closed-form tables with i_total = 2 log2 d."""
     tree = Graph(7, frozenset({(1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (5, 6)}))
+    k4_100 = Graph(104, frozenset((i, j) for i in range(1, 5) for j in range(5, 105)))
+    cube = Graph(1000, frozenset(  # 10x10x10 lattice, vertex 1 + x + 10 y + 100 z
+        (v, v + step) for v in range(1, 1001) for step, block in ((1, 10), (10, 100), (100, 1000))
+        if (v - 1) % block + step < block
+    ))
     cases = [
         (make_star(1000), 3, {1}),
         (make_grid(30, 30), 2, {1, 30}),
         (make_grid(30, 30), 6, {1, 30}),
         (make_chain(1000), 3, {500}),
         (tree, 2, {4, 5, 6, 7}),  # a product element here has surjective forms and I = 0
+        (k4_100, 3, {1}),  # dense cuts, whose least-support element is hard to find
+        (cube, 2, set(range(1, 501))),
     ]
     for g, d, side_a in cases:
         part = Bipartition.from_side_a(g, side_a)

@@ -3,9 +3,10 @@
 The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
 small N only), the characteristic function built one d x d array per edge,
 one table at a time through the DFT, the entropies and the key-rate scan,
-the edge-scanning two-coloring, the per-record transcript writer, the
-``Generator.choice`` sampler and masked counts of the protocol simulation,
-and the partial trace of a density operator.
+the edge-scanning two-coloring, the settings' generator found from the edge
+list, the per-record transcript writer, the ``Generator.choice`` sampler
+and masked counts of the protocol simulation, and the partial trace of a
+density operator.
 """
 
 import json
@@ -16,7 +17,7 @@ import numpy as np
 from graphsteering import protocol
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
 from graphsteering.registers import DensityOperator, QuditRegister
-from graphsteering.schmidt import FOURIER, _surjective, mix_white_noise
+from graphsteering.schmidt import FOURIER, NoCorrelationForm, _surjective, mix_white_noise
 from graphsteering.steering import derive_both_settings
 
 
@@ -154,6 +155,33 @@ def edge_scan_two_color(g) -> TwoColoring:
                 elif colors[w] == colors[v]:
                     raise NotTwoColorable(_odd_cycle(parent, v, w))
     return TwoColoring(colors)
+
+
+def least_generator_forms(g, d: int, part, m: int):
+    """(fa_coeffs, fb_coeffs) of the generator X_a Z_N(a) that ``derive_setting`` takes, from ``g.edges``.
+
+    a is the Fourier-measured vertex with an edge across the cut whose closed
+    neighbourhood N[a] is least by (size, sorted vertices); the form puts -1
+    on a and +1 on each neighbour, negated on side B.  Raises
+    NoCorrelationForm when no edge crosses the cut.
+    """
+    colors = edge_scan_two_color(g).colors
+    fourier = 1 if m == 1 else 0
+    closed = {v: {v} for v in range(1, g.n_vertices + 1)}
+    boundary = set()
+    for i, j in g.edges:
+        closed[i].add(j)
+        closed[j].add(i)
+        if (i in part.side_a) != (j in part.side_a):
+            boundary.add(i if colors[i] == fourier else j)
+    if not boundary:
+        raise NoCorrelationForm(f"no edge crosses the cut, m={m}")
+    a = min(boundary, key=lambda v: (len(closed[v]), sorted(closed[v])))
+    coeff = {v: 1 for v in closed[a]}
+    coeff[a] = -1
+    fa = tuple(coeff.get(v, 0) % d for v in sorted(part.side_a))
+    fb = tuple(-coeff.get(v, 0) % d for v in sorted(part.side_b))
+    return fa, fb
 
 
 def jsonl_by_record(t) -> str:

@@ -1,4 +1,4 @@
-"""The benchmark's traced runs wrap program functions by name; each name must exist."""
+"""The benchmark's traced runs wrap program functions by name, and its checks read the derived forms."""
 
 import functools
 import importlib
@@ -6,24 +6,33 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+from hypothesis import given, settings as hyp_settings, strategies as st
+
 from graphsteering import (
     Bipartition,
+    Graph,
+    NoCorrelationForm,
     ProtocolConfig,
     Transcript,
+    derive_both_settings,
     make_star,
     run_protocol,
     schmidt,
     two_color,
 )
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+def load_bench(name):
+    spec = importlib.util.spec_from_file_location("bench_" + name, BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracing():
+    return load_bench("tracing")
 
 
 def test_every_tracing_target_resolves():
@@ -68,3 +77,24 @@ def test_traced_setting_search_accepts_its_arguments():
         assert traced(g, 3, coloring, part, m) == schmidt.derive_setting(g, 3, coloring, part, m)
     # setting 1 measures the three leaves in the Fourier basis, setting 2 the centre
     assert [span[tracing.ATTRS]["candidates"] for span in tracer.spans] == [3 ** 3 - 1, 3 - 1]
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_bench_checks_accept_derived_settings(data):
+    # cut_sweep counts a derived setting the checker refuses as an incorrect output
+    checks = load_bench("checks")
+    d = data.draw(st.sampled_from([2, 3, 4, 5, 6, 10, 30]), label="d")
+    n = data.draw(st.integers(2, 14), label="n")
+    colors = data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="colors")
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1) if colors[i - 1] != colors[j - 1]]
+    edges = data.draw(st.sets(st.sampled_from(pairs)), label="edges") if pairs else set()
+    side_a = data.draw(st.sets(st.integers(1, n), min_size=1, max_size=n - 1), label="side_a")
+    g = Graph(n, frozenset(edges))
+    try:
+        settings = derive_both_settings(g, d, Bipartition.from_side_a(g, side_a))
+    except NoCorrelationForm:
+        return
+    graph = {"n": n, "d": d, "edges": [list(e) for e in sorted(edges)]}
+    for s in settings:
+        assert checks.check_setting(graph, side_a, s) is None

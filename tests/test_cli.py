@@ -52,14 +52,15 @@ def triangle_file(tmp_path):
     return str(path)
 
 
+# VmHWM, not ru_maxrss: Linux starts a child's ru_maxrss at its parent's peak RSS.
 CHILD = (
-    "import resource, sys\n"
+    "import sys\n"
     "from graphsteering.cli import main\n"
     "try:\n"
     "    main(sys.argv[1:])\n"
     "finally:\n"
-    "    vm_peak = open('/proc/self/status').read().split('VmPeak:')[1].split()[0]\n"
-    "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, vm_peak, file=sys.stderr)\n"
+    "    status = open('/proc/self/status').read()\n"
+    "    print(*(status.split(key)[1].split()[0] for key in ('VmHWM:', 'VmPeak:')), file=sys.stderr)\n"
 )
 
 
@@ -315,7 +316,7 @@ class TestFig4:
         assert res.stderr.startswith("error: --steps")
 
     def test_measured_peak_per_row_within_bound(self):
-        # the ru_maxrss slope of `fig4 --d 2` between two step counts, one output row a step
+        # the peak-RSS slope of `fig4 --d 2` between two step counts, one output row a step
         small, large = (2 ** 17, 2 ** 19)
         rss = [peaks(run_child(["fig4", "--d", "2", "--steps", str(steps)]))[0] for steps in (small, large)]
         slope = (rss[1] - rss[0]) / (large - small)
@@ -488,26 +489,15 @@ class TestQss:
         assert res.stderr.startswith("error: --rounds")
 
     def test_measured_peak_per_round_within_bound(self, tmp_path):
-        # the ru_maxrss slope of `qss --out` between two round counts
-        script = (
-            "import resource, sys\n"
-            "from graphsteering.cli import main\n"
-            "try:\n"
-            "    main(sys.argv[1:])\n"
-            "finally:\n"
-            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
-        )
-        env = {**os.environ, "PYTHONPATH": SRC}
-        peaks = {}
+        # the peak-RSS slope of `qss --out` between two round counts
+        rss = {}
         for rounds in (2 ** 18, 2 ** 20):
             out = tmp_path / f"{rounds}.jsonl"
-            proc = subprocess.run(
-                [sys.executable, "-c", script, "qss", "--p", "0.05", "--rounds", str(rounds), "--out", str(out)],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            peaks[rounds] = int(proc.stderr.split()[-1]) * 1024  # ru_maxrss is in KiB on Linux
+            proc = run_child(["qss", "--p", "0.05", "--rounds", str(rounds), "--out", str(out)])
+            assert proc.returncode == 0, proc.stderr
+            rss[rounds] = peaks(proc)[0]
             out.unlink()
-        slope = (peaks[2 ** 20] - peaks[2 ** 18]) / (2 ** 20 - 2 ** 18)
+        slope = (rss[2 ** 20] - rss[2 ** 18]) / (2 ** 20 - 2 ** 18)
         assert slope <= QSS_BYTES_PER_ROUND
 
     @pytest.mark.parametrize(
