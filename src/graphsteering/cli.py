@@ -178,6 +178,8 @@ def _parse_d_list(text: str) -> list:
         values = []
     if not values or any(d < 2 for d in values):
         _refuse(f"bad dimension list {text!r}")
+    if max(values) >= 2 ** 64:  # numpy's log2 takes no integer wider than 64 bits
+        _refuse(f"--d {max(values)} is not below 2**64")
     return values
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .registers import DensityOperator, haar_vector
-from .schmidt import Povm
+
+if TYPE_CHECKING:  # schmidt imports this module
+    from .schmidt import Povm
 
 EIG_CUTOFF = 1e-12  # below accumulated eigensolver noise
 
@@ -20,7 +23,7 @@ def _check_prob_table(p, axes=None) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     if np.min(p) < -1e-12:
-        raise ValueError("probability table has a negative entry")
+        raise ValueError(f"probability table has a negative entry {np.min(p)} below -1e-12")
     sums = np.asarray(p.sum(axis=axes))
     off = np.abs(sums - 1.0) > 1e-10
     if off.any():

@@ -3,11 +3,11 @@
 Each round both sides pick one of the two settings uniformly at random; only
 matched rounds are sifted.  Outcomes are sampled from the exact analytic
 joint table of each setting pair (statistically identical to per-round state
-collapse, orders of magnitude faster).  With a cloner present, the attack
-acts on the noiseless correlation in the effective d-level Schmidt space and
-white noise is then mixed into the joint table; the attacked tables are
-closed forms in O(d^2), and the cloner's explicit state in ``cloner`` is
-their test oracle.
+collapse, orders of magnitude faster).  The cloner acts on the noiseless
+correlation in the effective d-level Schmidt space, no attack being
+disturbance 0, and white noise is then mixed into the joint table; the
+tables are closed forms in O(d^2), and the graph state's stabilizer tables
+and the cloner's explicit state are their test oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .cloner import phase_covariant_gamma, q_marginals
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
-from .schmidt import mix_white_noise, stabilizer_table
+from .schmidt import mix_white_noise
 from .steering import derive_both_settings
 
 
@@ -210,27 +210,26 @@ _PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
 def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model.
 
-    Under the cloning attack the A-B reduced state is Bell-diagonal with the
-    weights gamma, so matched settings m give P(a, b) = q_m[(b - a) mod d] / d
-    with q_m the marginal of gamma, and mismatched settings the uniform 1/d^2:
-    O(d^2) per table.  Measuring the cloner's explicit d^4 state, the tests'
-    oracle, gives the same tables up to round-off.
+    The cut's settings are derived first, so an odd cycle or a cut that no
+    edge crosses is refused as ``certify`` refuses it.  The cloner leaves the
+    A-B state Bell-diagonal with weights gamma, and no attack is D = 0:
+    matched settings m give P(a, b) = q_m[(b - a) mod d] / d, q_m the
+    marginal of gamma, and mismatched ones 1/d^2; white noise is mixed in last.
+    At D = 0 these are exactly the graph state's tables: each setting's forms
+    come from one generator X_a Z_N(a), so a matched table is eye/d.  Setting
+    1's generator has its X on one colour class and setting 2's on the other,
+    and each reaches across the cut, so their A-part and B-part combine into a
+    stabilizer only when both exponents are 0 mod d: a mismatched table is 1/d^2.
     """
-    if cfg.cloner_disturbance is None:
-        settings = derive_both_settings(cfg.graph, cfg.d, cfg.part)
-        pairs = [(settings[ma - 1], settings[mb - 1]) for ma, mb in _PAIRS]
-        stack = stabilizer_table(cfg.graph, cfg.d, pairs, cfg.part, cfg.noise_p)
-    else:
-        cfg.graph.coloring  # the attacked settings exist only on two-colorable graphs
-        d = cfg.d
-        gamma = phase_covariant_gamma(cfg.cloner_disturbance, d)
-        outcomes = np.arange(d)
-        shift = (outcomes - outcomes[:, None]) % d  # b - a at [a, b]
-        stack = np.full((4, d, d), 1.0 / (d * d))
-        stack[0] = q_marginals(gamma, 1)[shift] / d
-        stack[3] = q_marginals(gamma, 2)[shift] / d
-        stack = mix_white_noise(stack, cfg.noise_p)
-    return dict(zip(_PAIRS, stack))
+    derive_both_settings(cfg.graph, cfg.d, cfg.part)  # refuses the cuts certify refuses
+    d = cfg.d
+    gamma = phase_covariant_gamma(cfg.cloner_disturbance or 0.0, d)
+    outcomes = np.arange(d)
+    shift = (outcomes - outcomes[:, None]) % d  # b - a at [a, b]
+    stack = np.full((4, d, d), 1.0 / (d * d))
+    stack[0] = q_marginals(gamma, 1)[shift] / d
+    stack[3] = q_marginals(gamma, 2)[shift] / d
+    return dict(zip(_PAIRS, mix_white_noise(stack, cfg.noise_p)))
 
 
 def _cdf(table: np.ndarray) -> np.ndarray:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .graphs import Bipartition, Graph, TwoColoring
 from .graphstate import fourier_op
+from .infotheory import _check_prob_table
 from .registers import DensityOperator, PureState, QuditRegister, permute_qudits
 
 COMPUTATIONAL = "computational"
@@ -190,13 +191,7 @@ def joint_distribution(
     rho4 = reordered.matrix.reshape(dim_a, dim_b, dim_a, dim_b)
     e_arr = np.stack(povm_a.effects)
     f_arr = np.stack(povm_b.effects)
-    table = np.einsum("ijkl,aki,blj->ab", rho4, e_arr, f_arr).real
-    if np.min(table) < -1e-12:
-        raise ValueError(f"joint distribution has entry {np.min(table)} below -1e-12")
-    table = np.clip(table, 0.0, None)
-    if abs(table.sum() - 1.0) > 1e-10:
-        raise ValueError(f"joint distribution sums to {table.sum()}")
-    return table
+    return _check_prob_table(np.einsum("ijkl,aki,blj->ab", rho4, e_arr, f_arr).real)
 
 
 def mix_white_noise(table: np.ndarray, p) -> np.ndarray:
@@ -266,22 +261,15 @@ def stabilizer_table(
     d: int,
     pairs,
     part: Bipartition,
-    p: float = 0.0,
 ) -> np.ndarray:
-    """P(a, b) for A measuring ``setting_a`` and B ``setting_b``, for each pair, on the graph state of g.
+    """Noiseless P(a, b) for A measuring ``setting_a`` and B ``setting_b``, for each pair, on the graph state of g.
 
     ``pairs`` lists (setting_a, setting_b); the result is their (k, d, d)
     stack, in that order.  Each table is the 2-D DFT of its
-    ``characteristic_table`` over d^2, with no state vector.  One DFT, one
-    check and one clip serve the whole stack: round-off entries near -1e-17
-    are clipped at 0 before white noise is mixed in.
+    ``characteristic_table`` over d^2, with no state vector.  One DFT and
+    one ``infotheory._check_prob_table`` serve the whole stack, which clips
+    round-off entries near -1e-17 at 0; callers mix in white noise with
+    ``mix_white_noise``.
     """
     chi = np.stack([characteristic_table(g, d, sa, sb, part) for sa, sb in pairs])
-    tables = np.fft.fft2(chi).real / d ** 2
-    sums = tables.sum(axis=(-2, -1))
-    off = np.abs(sums - 1.0) > 1e-10
-    if off.any():
-        raise ValueError(f"joint distribution sums to {sums[off][0]}")
-    if np.min(tables) < -1e-12:
-        raise ValueError(f"joint distribution has entry {np.min(tables)} below -1e-12")
-    return mix_white_noise(np.clip(tables, 0.0, None), p)
+    return _check_prob_table(np.fft.fft2(chi).real / d ** 2, axes=(-2, -1))

@@ -52,7 +52,8 @@ def steering_statistic(
     g: Graph, d: int, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
     """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor."""
-    i_per = tuple(mutual_information(stabilizer_table(g, d, [(s, s) for s in settings], part, p)).tolist())
+    tables = stabilizer_table(g, d, [(s, s) for s in settings], part)
+    i_per = tuple(mutual_information(mix_white_noise(tables, p)).tolist())
     i_total = float(sum(i_per))
     threshold = float(np.log2(d))
     margin = i_total - threshold
@@ -77,6 +78,17 @@ def _noisy_i_total(tables, p):
     return mutual_information(mix_white_noise(tables, p)).sum(axis=-1)
 
 
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of a bracket [lo, hi] with f > 0 at lo and f <= 0 at hi, halved until narrower than tol."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     """Noise intensity where the certified total information hits log2(d).
 
@@ -89,20 +101,13 @@ def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     def excess(p: float) -> float:
         return float(_noisy_i_total(tables, p)) - threshold
 
-    lo, hi = 0.0, 1.0
-    f_lo, f_hi = excess(lo), excess(hi)
+    f_lo, f_hi = excess(0.0), excess(1.0)
     if f_lo <= 0 or f_hi >= 0:
         raise RuntimeError(
             "noise threshold not bracketed; correlation forms look defective "
             f"(excess at 0: {f_lo}, at 1: {f_hi})"
         )
-    while hi - lo > NOISE_THRESHOLD_TOL:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(excess, 0.0, 1.0, NOISE_THRESHOLD_TOL)
 
 
 def disturbance_entropy(D, d: int):
@@ -129,14 +134,7 @@ def critical_disturbance(d: int) -> float:
     if d < 2:
         raise ValueError("d must be >= 2")
     target = 0.5 * np.log2(d)
-    lo, hi = 0.0, (d - 1) / d
-    while hi - lo > CRITICAL_DISTURBANCE_TOL:
-        mid = 0.5 * (lo + hi)
-        if disturbance_entropy(mid, d) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda D: target - disturbance_entropy(D, d), 0.0, (d - 1) / d, CRITICAL_DISTURBANCE_TOL)
 
 
 def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 from . import (
     Bipartition,
     Graph,
+    ProtocolConfig,
     critical_disturbance,
     derive_both_settings,
     dirichlet_gamma,
@@ -27,10 +28,11 @@ from . import (
     noise_threshold,
     stabilizer_table,
 )
+from .protocol import setting_pair_tables
 
 
 def check_ideal_correlations():
-    """Diagonal closed-form tables with i_total = 2 log2 d."""
+    """Diagonal closed-form tables with i_total = 2 log2 d, which the protocol's four setting-pair tables match."""
     tree = Graph(7, frozenset({(1, 2), (1, 4), (1, 5), (1, 7), (2, 3), (5, 6)}))
     k4_100 = Graph(104, frozenset((i, j) for i in range(1, 5) for j in range(5, 105)))
     cube = Graph(1000, frozenset(  # 10x10x10 lattice, vertex 1 + x + 10 y + 100 z
@@ -48,7 +50,11 @@ def check_ideal_correlations():
     ]
     for g, d, side_a in cases:
         part = Bipartition.from_side_a(g, side_a)
-        tables = stabilizer_table(g, d, [(s, s) for s in derive_both_settings(g, d, part)], part)
+        settings = derive_both_settings(g, d, part)
+        stack = stabilizer_table(g, d, [(sa, sb) for sa in settings for sb in settings], part)
+        protocol_tables = np.stack(list(setting_pair_tables(ProtocolConfig(g, d, part)).values()))
+        assert np.max(np.abs(stack - protocol_tables)) < 1e-10, f"N={g.n_vertices}, d={d}: protocol tables"
+        tables = stack[[0, 3]]  # the matched pairs (1, 1) and (2, 2)
         assert np.max(np.abs(tables - np.eye(d) / d)) < 1e-10
         i_total = mutual_information(tables).sum()
         assert abs(i_total - 2 * np.log2(d)) < 1e-9, f"N={g.n_vertices}, d={d}: i_total {i_total}"

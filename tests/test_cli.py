@@ -353,6 +353,13 @@ class TestFig5AndDc:
         _, _, rows = parse_csv(res.output)
         assert abs(float(rows[0][1]) - 0.4029) < 1e-4
 
+    @pytest.mark.parametrize("command", ["dc", "fig5", "fig4"])
+    @pytest.mark.parametrize("d", [2 ** 64, 10 ** 400], ids=["2**64", "10**400"])
+    def test_dimension_beyond_64_bits_exit_2(self, runner, command, d):
+        res = runner.invoke(main, [command, "--d", f"2,{d}"])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: --d {d} is not below 2**64\n"
+
     def test_consistency_between_commands(self, runner):
         res_dc = runner.invoke(main, ["dc", "--d", "2,3"])
         res_f5 = runner.invoke(main, ["fig5", "--d", "2,3"])
@@ -456,6 +463,25 @@ class TestQss:
         )
         assert res.exit_code == 2
         assert "NotTwoColorable" in res.stderr
+
+    @pytest.mark.parametrize("attack", [[], ["--disturbance", "0.05"]], ids=["unattacked", "attacked"])
+    def test_product_cut_exit_3(self, runner, tmp_path, attack):
+        # each edge lies inside one side: refused as certify refuses it, with or without the cloner
+        path = tmp_path / "g.json"
+        path.write_text('{"n": 4, "d": 2, "edges": [[1, 2], [3, 4]]}')
+        res = runner.invoke(main, ["qss", "--graph-file", str(path), "--partition", "1,2", "--rounds", "1000", *attack])
+        assert res.exit_code == 3
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: NoCorrelationForm")
+        assert "no edge crosses" in lines[0]
+
+    def test_zero_disturbance_is_no_attack(self, runner, tmp_path):
+        (tmp_path / "g.json").write_text('{"n": 4, "d": 3, "edges": [[1, 2], [2, 3], [3, 4]]}')
+        base = ["qss", "--graph-file", str(tmp_path / "g.json"), "--p", "0.1", "--seed", "5", "--rounds", "20000"]
+        for name, extra in (("none", []), ("zero", ["--disturbance", "0"])):
+            assert runner.invoke(main, base + ["--out", str(tmp_path / name)] + extra).exit_code == 0
+        assert (tmp_path / "none").read_bytes() == (tmp_path / "zero").read_bytes()
 
     def test_long_register_refused_before_partition(self, runner, tmp_path):
         path = tmp_path / "huge.json"

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 from oracle import choice_by_pair, jsonl_by_record, masked_counts
+from test_schmidt import draw_bipartite_graph, draw_cut
 
 from graphsteering import (
     Bipartition,
     InsufficientData,
+    NoCorrelationForm,
     ProtocolConfig,
     Transcript,
     cloner_output,
@@ -18,6 +20,7 @@ from graphsteering import (
     measured_joint,
     phase_covariant_gamma,
     run_protocol,
+    stabilizer_table,
 )
 from graphsteering import protocol
 from graphsteering.infotheory import mutual_information
@@ -79,6 +82,26 @@ class TestSettingPairTables:
             for table in setting_pair_tables(cfg).values():
                 assert table.min() >= -1e-12
                 assert abs(table.sum() - 1.0) < 1e-10
+
+    @hyp_settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_unattacked_tables_match_stabilizer_tables(self, data):
+        # the closed form at disturbance 0 against the graph state's DFT tables, every ordered pair
+        d = data.draw(st.one_of(st.integers(2, 10), st.just(30)), label="d")
+        g = draw_bipartite_graph(data, 12)
+        part = draw_cut(data, g)
+        p = data.draw(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), label="p")
+        cfg = ProtocolConfig(graph=g, d=d, part=part, noise_p=p, rounds=1)
+        try:
+            settings = derive_both_settings(g, d, part)
+        except NoCorrelationForm:
+            with pytest.raises(NoCorrelationForm):
+                setting_pair_tables(cfg)
+            return
+        want = mix_white_noise(stabilizer_table(g, d, [(sa, sb) for sa in settings for sb in settings], part), p)
+        tables = setting_pair_tables(cfg)
+        got = np.stack([tables[ma, mb] for ma in (1, 2) for mb in (1, 2)])
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_cloner_matched_diagonal_weight(self):
         # matched-setting agreement probability is 1 - D under the attack

@@ -30,13 +30,14 @@ from graphsteering import (
     mutual_information,
     schmidt_decompose,
     stabilizer_table,
+    steering_statistic,
     two_color,
     white_noise,
 )
 from graphsteering import schmidt
 from graphsteering.cli import main
 from graphsteering.registers import haar_vector, permute_qudits
-from graphsteering.schmidt import COMPUTATIONAL, FOURIER, characteristic_table, side_order
+from graphsteering.schmidt import COMPUTATIONAL, FOURIER, characteristic_table, mix_white_noise, side_order
 from oracle import edge_characteristic_table, least_generator_forms, outcome_table, pair_table
 
 
@@ -460,7 +461,7 @@ class TestStabilizerTable:
         psi = build_graph_state(g, d)
         for sa in settings:
             for sb in settings:
-                [fast] = stabilizer_table(g, d, [(sa, sb)], part, p)
+                [fast] = mix_white_noise(stabilizer_table(g, d, [(sa, sb)], part), p)
                 assert np.max(np.abs(fast - outcome_table(psi, sa, sb, part, p))) < 1e-12
 
     def test_ideal_tables_beyond_state_vector_sizes(self):
@@ -507,7 +508,7 @@ class TestStabilizerTable:
         part, settings = settings_for(g, 2, {1})
         for p in (-0.01, 1.01):
             with pytest.raises(ValueError, match="noise"):
-                stabilizer_table(g, 2, [(settings[0], settings[0])], part, p)
+                steering_statistic(g, 2, settings, part, p)
 
 
 class TestStackedTables:
@@ -531,7 +532,7 @@ class TestStackedTables:
             np.testing.assert_array_equal(
                 characteristic_table(g, d, sa, sb, part), edge_characteristic_table(g, d, sa, sb, part)
             )
-        stack = stabilizer_table(g, d, pairs, part, p)
+        stack = mix_white_noise(stabilizer_table(g, d, pairs, part), p)
         assert stack.shape == (len(pairs), d, d)
         for table, (sa, sb) in zip(stack, pairs):
             np.testing.assert_array_equal(table, pair_table(g, d, sa, sb, part, p))
