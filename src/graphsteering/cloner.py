@@ -2,9 +2,11 @@
 
 The attack is described on four abstract d-level registers (A, B and the
 clone pair C, C') via a d x d probability table over generalized Bell states.
-The protocol simulation uses only the formula-level quantities (the marginals
-q_m of the table); the explicit d**4 state built here is their oracle, which
-the tests and acceptance criteria measure directly.
+Every command reads only the formula-level quantities: the marginals q_m of
+the table and the Bell-diagonal joint tables of ``pair_tables``, which at
+disturbance 0 are the graph state's own tables.  The explicit d**4 state
+built here is their oracle, which the tests and acceptance criteria measure
+directly.
 
 Index convention: the clone-pair Bell index is taken as (d-k) mod d, which
 makes the formula-level marginals agree with direct measurement of the
@@ -87,6 +89,37 @@ def q_marginals(g: GammaDistribution, m: int) -> np.ndarray:
         t = np.arange(g.d)
         return col_sums[(-t) % g.d]
     raise ValueError("m must be 1 or 2")
+
+
+def pair_tables(g: GammaDistribution) -> np.ndarray:
+    """Noiseless A-B joint tables of the setting pairs (1, 1), (1, 2), (2, 1), (2, 2), as a (4, d, d) stack.
+
+    The cloner leaves the A-B state Bell-diagonal with weights gamma (Cerf,
+    J. Mod. Opt. 47, 187 (2000)): matched settings m give
+    P(a, b) = q_m[(b - a) mod d] / d, q_m the marginal of gamma, and
+    mismatched ones 1/d^2, in O(d^2).
+
+    No attack is D = 0, where these are exactly the graph state's tables on
+    every cut that ``steering.derive_both_settings`` accepts.  Each setting's
+    forms come from one stabilizer generator X_a Z_N(a), whose cross-cut
+    vector is 1 at each of a's neighbours across the cut, so an A-side power
+    of it is a stabilizer only at exponent 0 mod d (Hein, Eisert & Briegel,
+    PRA 69, 062311 (2004)): the A-side value is uniform and the two sides'
+    values coincide, so a matched table is eye/d.  Setting 1's generator has
+    its X on one colour class and setting 2's on the other, and each reaches
+    across the cut, so their A-part and B-part combine into a stabilizer
+    only when both exponents are 0 mod d: a mismatched table is 1/d^2.
+    ``schmidt.stabilizer_table`` derives the same tables from the graph by
+    a DFT of the characteristic function; ``verify`` and the tests compare
+    the two.
+    """
+    d = g.d
+    outcomes = np.arange(d)
+    shift = (outcomes - outcomes[:, None]) % d  # b - a at [a, b]
+    stack = np.full((4, d, d), 1.0 / (d * d))
+    stack[0] = q_marginals(g, 1)[shift] / d
+    stack[3] = q_marginals(g, 2)[shift] / d
+    return stack
 
 
 def mutual_info_ab(g: GammaDistribution, m: int) -> float:

@@ -6,8 +6,9 @@ joint table of each setting pair (statistically identical to per-round state
 collapse, orders of magnitude faster).  The cloner acts on the noiseless
 correlation in the effective d-level Schmidt space, no attack being
 disturbance 0, and white noise is then mixed into the joint table; the
-tables are closed forms in O(d^2), and the graph state's stabilizer tables
-and the cloner's explicit state are their test oracles.
+tables are the closed forms of ``cloner.pair_tables`` in O(d^2), and the
+graph state's stabilizer tables and the cloner's explicit state are their
+test oracles.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cloner import phase_covariant_gamma, q_marginals
+from .cloner import pair_tables, phase_covariant_gamma
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
 from .schmidt import mix_white_noise
@@ -211,25 +212,13 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """Analytic joint table for every (m_a, m_b) pair under the configured model.
 
     The cut's settings are derived first, so an odd cycle or a cut that no
-    edge crosses is refused as ``certify`` refuses it.  The cloner leaves the
-    A-B state Bell-diagonal with weights gamma, and no attack is D = 0:
-    matched settings m give P(a, b) = q_m[(b - a) mod d] / d, q_m the
-    marginal of gamma, and mismatched ones 1/d^2; white noise is mixed in last.
-    At D = 0 these are exactly the graph state's tables: each setting's forms
-    come from one generator X_a Z_N(a), so a matched table is eye/d.  Setting
-    1's generator has its X on one colour class and setting 2's on the other,
-    and each reaches across the cut, so their A-part and B-part combine into a
-    stabilizer only when both exponents are 0 mod d: a mismatched table is 1/d^2.
+    edge crosses is refused as ``certify`` refuses it.  The tables are
+    ``cloner.pair_tables`` at the configured disturbance, no attack being
+    D = 0, with white noise mixed in last.
     """
     derive_both_settings(cfg.graph, cfg.d, cfg.part)  # refuses the cuts certify refuses
-    d = cfg.d
-    gamma = phase_covariant_gamma(cfg.cloner_disturbance or 0.0, d)
-    outcomes = np.arange(d)
-    shift = (outcomes - outcomes[:, None]) % d  # b - a at [a, b]
-    stack = np.full((4, d, d), 1.0 / (d * d))
-    stack[0] = q_marginals(gamma, 1)[shift] / d
-    stack[3] = q_marginals(gamma, 2)[shift] / d
-    return dict(zip(_PAIRS, mix_white_noise(stack, cfg.noise_p)))
+    tables = pair_tables(phase_covariant_gamma(cfg.cloner_disturbance or 0.0, cfg.d))
+    return dict(zip(_PAIRS, mix_white_noise(tables, cfg.noise_p)))
 
 
 def _cdf(table: np.ndarray) -> np.ndarray:

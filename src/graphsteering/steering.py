@@ -6,10 +6,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cloner import pair_tables, phase_covariant_gamma
 from .graphs import Bipartition, Graph
 from .infotheory import mutual_information
 from .registers import DensityOperator, PureState
-from .schmidt import derive_setting, mix_white_noise, stabilizer_table
+from .schmidt import derive_setting, mix_white_noise
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
@@ -48,12 +49,21 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
+def _matched_tables(d: int) -> np.ndarray:
+    """The (2, d, d) stack of noiseless tables of the matched settings: eye/d each, on every accepted cut."""
+    return pair_tables(phase_covariant_gamma(0.0, d))[[0, 3]]
+
+
 def steering_statistic(
     g: Graph, d: int, settings, part: Bipartition, p: float = 0.0
 ) -> SteeringReport:
-    """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor."""
-    tables = stabilizer_table(g, d, [(s, s) for s in settings], part)
-    i_per = tuple(mutual_information(mix_white_noise(tables, p)).tolist())
+    """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor.
+
+    ``settings`` must be the cut's pair from ``derive_both_settings``, which
+    refuses the cuts that have none; the tables of that pair are the closed
+    form of ``cloner.pair_tables``, so they are not derived again here.
+    """
+    i_per = tuple(mutual_information(mix_white_noise(_matched_tables(d), p)).tolist())
     i_total = float(sum(i_per))
     threshold = float(np.log2(d))
     margin = i_total - threshold
@@ -67,8 +77,9 @@ def steering_statistic(
 
 
 def _noiseless_tables(g: Graph, d: int, part: Bipartition):
-    """The (2, d, d) stack of noiseless joint tables, one per setting."""
-    return stabilizer_table(g, d, [(s, s) for s in derive_both_settings(g, d, part)], part)
+    """The (2, d, d) stack of noiseless joint tables, one per setting, once the cut's settings are derived."""
+    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
+    return _matched_tables(d)
 
 
 def _noisy_i_total(tables, p):

@@ -4,7 +4,10 @@ Each check returns silently or raises AssertionError; the runner collects
 results as (name, passed, detail) triples.  Every check runs the production
 closed-form path against the paper's values, at sizes no state vector fits;
 none builds a state vector or density matrix (the dense checks live in the
-tests).
+tests).  The ideal-correlations check is the proof at scale that the
+commands' Bell-diagonal tables (``cloner.pair_tables``) are the graph
+state's: it derives each cut's four tables from the graph, by the DFT of
+``schmidt.stabilizer_table``, and compares them with the protocol's.
 """
 
 from __future__ import annotations

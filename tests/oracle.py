@@ -2,11 +2,11 @@
 
 The state-vector oracle for the closed-form outcome tables (16 d^N bytes:
 small N only), the characteristic function built one d x d array per edge,
-one table at a time through the DFT, the entropies and the key-rate scan,
-the edge-scanning two-coloring, the settings' generator found from the edge
-list, the per-record transcript writer, the ``Generator.choice`` sampler
-and masked counts of the protocol simulation, and the partial trace of a
-density operator.
+one table at a time through the DFT, the entropies and the key-rate scan
+(from eye/d, or from given tables), the edge-scanning two-coloring, the
+settings' generator found from the edge list, the per-record transcript
+writer, the ``Generator.choice`` sampler and masked counts of the protocol
+simulation, and the partial trace of a density operator.
 """
 
 import json
@@ -126,8 +126,17 @@ def table_mutual_information(joint) -> float:
 
 
 def key_rate_rows(g, d: int, part, p_grid) -> list:
-    """(p, i_total, r_lower) one noise level and one table at a time."""
-    tables = [pair_table(g, d, s, s, part) for s in derive_both_settings(g, d, part)]
+    """(p, i_total, r_lower) one noise level and one table at a time, from the ideal tables eye/d.
+
+    The cut's settings are derived, so a cut that ``key_rate_scan`` refuses
+    is refused here too.
+    """
+    derive_both_settings(g, d, part)
+    return table_key_rate_rows([np.eye(d) / d] * 2, d, p_grid)
+
+
+def table_key_rate_rows(tables, d: int, p_grid) -> list:
+    """(p, i_total, r_lower) of the two given noiseless setting tables, one noise level and one table at a time."""
     threshold = float(np.log2(d))
     rows = []
     for p in p_grid:

@@ -233,6 +233,41 @@ class TestCertify:
         assert leftovers == []
 
 
+class TestOneTableModel:
+    """Every command reads the Bell-diagonal closed form; the stabilizer DFT is left to verify and the tests."""
+
+    @pytest.fixture(autouse=True)
+    def dft_raises(self, monkeypatch):
+        for name, module in list(sys.modules.items()):
+            if name == "graphsteering" or name.startswith("graphsteering."):
+                for attr in ("stabilizer_table", "characteristic_table"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, reached)
+
+    @pytest.mark.parametrize("args", [
+        ["certify", "STAR3", "--p", "0.1"],
+        ["fig4", "--steps", "3"],
+        ["fig5"],
+        ["qss", "--rounds", "2000"],
+        ["qss", "--rounds", "2000", "--disturbance", "0.1"],
+    ])
+    def test_commands_never_reach_the_dft(self, runner, star3_file, args):
+        res = runner.invoke(main, [star3_file if a == "STAR3" else a for a in args])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("command", [["certify"], ["qss", "--rounds", "2000", "--graph-file"]])
+    @pytest.mark.parametrize("doc, partition, code, error", [
+        ('{"n": 3, "d": 2, "edges": [[1, 2], [2, 3], [3, 1]]}', "1", 2, "NotTwoColorable"),
+        ('{"n": 4, "d": 3, "edges": [[1, 2], [3, 4]]}', "1,2", 3, "NoCorrelationForm"),
+    ])
+    def test_refusals_unchanged(self, runner, tmp_path, command, doc, partition, code, error):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        res = runner.invoke(main, [*command, str(path), "--partition", partition])
+        assert res.exit_code == code
+        assert res.stderr.startswith(f"error: {error}")
+
+
 class TestOutPathErrors:
     """An unwritable --out exits 2 naming the given path, and leaves no temp file behind."""
 

@@ -311,9 +311,9 @@ class TestPinnedExactRegression:
         np.testing.assert_allclose(pb2.effects[0], even, atol=1e-12)
         np.testing.assert_allclose(pb2.effects[1], odd, atol=1e-12)
 
-    def test_canonical_search_matches_paper_exact(self):
+    def test_derived_settings_match_paper_exact(self):
         # the worked example's forms: B reads qubit 2 alone, then the parity of 2 and 3
-        _, canonical = settings_for(make_star(3), 2, {1})
+        _, derived = settings_for(make_star(3), 2, {1})
         bases = (
             {1: COMPUTATIONAL, 2: FOURIER, 3: FOURIER},
             {1: FOURIER, 2: COMPUTATIONAL, 3: COMPUTATIONAL},
@@ -322,7 +322,7 @@ class TestPinnedExactRegression:
             MeasurementSetting(m, bases[m - 1], (1,), (2, 3), (1,), fb)
             for m, fb in ((1, (1, 0)), (2, (1, 1)))
         ]
-        for a, b in zip(canonical, pinned):
+        for a, b in zip(derived, pinned):
             assert a == b
 
 
@@ -604,7 +604,7 @@ def assert_matches_oracle(g, d, part, exhaustive=True):
             assert exhaustive_informative(g, d, coloring, part, m) == (expected is not None)
 
 
-class TestSearchMatchesExhaustive:
+class TestGeneratorMatchesExhaustive:
     @hyp_settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_random_bipartite_graphs(self, data):
@@ -825,7 +825,7 @@ def complete_bipartite(a, b):
 # Cuts whose least-support element takes an exact search minutes to find (2-CPU VM):
 # dense_case(5) and (10) over 30 s at d=30, dense_case(0) 12.9 s, K_{4,50} 20.6 s,
 # K_{4,100} 273 s for m=1 alone, K_{24,24} over 100 s.  The generator takes milliseconds.
-BUDGET_CASES = [
+DENSE_CUT_CASES = [
     pytest.param(*dense_case(5), 30, id="dense5-d30"),
     pytest.param(*dense_case(10), 30, id="dense10-d30"),
     pytest.param(*dense_case(0), 30, id="dense0-d30"),
@@ -835,8 +835,8 @@ BUDGET_CASES = [
 ]
 
 
-class TestSearchBudget:
-    @pytest.mark.parametrize("g, side_a, d", BUDGET_CASES)
+class TestDenseCuts:
+    @pytest.mark.parametrize("g, side_a, d", DENSE_CUT_CASES)
     def test_informative_forms_in_bounded_time(self, g, side_a, d):
         part = Bipartition.from_side_a(g, side_a)
         start = time.perf_counter()
@@ -873,7 +873,7 @@ LINEAR_CUT_DIGESTS = [
 
 
 @pytest.mark.parametrize("make, size, side_a, d, digest", LINEAR_CUT_DIGESTS)
-def test_budget_keeps_linear_forms(make, size, side_a, d, digest):
+def test_large_cut_form_digests(make, size, side_a, d, digest):
     g = make(*size)
     h = hashlib.sha256()
     for form in form_data(derive_both_settings(g, d, Bipartition.from_side_a(g, side_a))):

@@ -18,7 +18,7 @@ from graphsteering import (
     white_noise,
 )
 from graphsteering import graphs
-from oracle import key_rate_rows
+from oracle import key_rate_rows, pair_table, table_key_rate_rows
 
 
 def binary_search_root(f, lo, hi, tol=1e-12):
@@ -181,6 +181,15 @@ class TestKeyRate:
         rows = key_rate_scan(g, d, part, grid)
         assert rows.shape == (len(grid), 3)
         assert rows.tolist() == [list(row) for row in key_rate_rows(g, d, part, grid)]
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_scan_matches_stabilizer_table_rows(self, d):
+        g = make_chain(4)
+        part = Bipartition.from_side_a(g, {1, 2})
+        grid = np.concatenate([np.linspace(0.0, 1.0, 101), [0.0, 0.5, 1.0]])
+        dft = [pair_table(g, d, s, s, part) for s in derive_both_settings(g, d, part)]
+        rows = key_rate_scan(g, d, part, grid)
+        np.testing.assert_allclose(rows, table_key_rate_rows(dft, d, grid), rtol=0, atol=1e-12)
 
     def test_scan_rejects_bad_grid(self):
         g = make_star(3)
