@@ -45,12 +45,12 @@ EXIT_DERIVATION = 3
 # the p grid and the (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 48
-# Peak memory per entry of a d x d joint table (the closed-form stack, noisy
-# mix and entropies), rounded up from what the tables took when they were a
-# DFT of the characteristic function, the ru_maxrss slope over d on the same
-# machine: 47.8 bytes an entry for `certify`'s two tables from d=1024 to 2048,
-# 48.3 for `qss`'s four from d=1024 to 1448.  The closed form takes about 28
-# (`certify` at d=1448 peaks at 146 MB VmHWM, 32 MB at d=2).
+# Peak memory per entry of a d x d joint table, rounded up from what the
+# tables took when they were a DFT of the characteristic function, the
+# ru_maxrss slope over d on the same machine: 48.3 bytes an entry for `qss`'s
+# four from d=1024 to 1448.  Only `qss` builds tables now; `certify`, `fig4`
+# and `fig5` read the information in closed form (32 MB VmHWM at any d) but
+# keep the bound of two tables, d <= 1448, that they had when they built them.
 TABLE_BYTES_PER_ENTRY = 64
 # Peak memory per vertex or edge of a graph, the ru_maxrss slope of `certify
 # --partition 1` at d=3 rounded up: 347-358 bytes between stars of 10^5 to 4*10^5
@@ -199,7 +199,7 @@ def main():
 @click.option("--out", default=None, type=click.Path(), help="Output file (default: stdout).")
 def certify(graph_file, partition, p, fmt, out):
     """Certify steering of a (noisy) graph state from a graph file."""
-    g, d = _load_graph(graph_file, 2)  # one table per setting
+    g, d = _load_graph(graph_file, 2)  # bounded as two tables, though it builds none
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
         _refuse("--p must be in [0, 1]")

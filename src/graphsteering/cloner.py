@@ -2,11 +2,11 @@
 
 The attack is described on four abstract d-level registers (A, B and the
 clone pair C, C') via a d x d probability table over generalized Bell states.
-Every command reads only the formula-level quantities: the marginals q_m of
-the table and the Bell-diagonal joint tables of ``pair_tables``, which at
-disturbance 0 are the graph state's own tables.  The explicit d**4 state
-built here is their oracle, which the tests and acceptance criteria measure
-directly.
+``qss`` reads only the formula-level quantities: the marginals q_m of the
+table and the Bell-diagonal joint tables of ``pair_tables``, which at
+disturbance 0 are the graph state's own tables and the oracle of the
+information ``steering`` reads in closed form.  The explicit d**4 state is
+their oracle, which the tests and acceptance criteria measure directly.
 
 Index convention: the clone-pair Bell index is taken as (d-k) mod d, which
 makes the formula-level marginals agree with direct measurement of the
@@ -111,7 +111,8 @@ def pair_tables(g: GammaDistribution) -> np.ndarray:
     only when both exponents are 0 mod d: a mismatched table is 1/d^2.
     ``schmidt.stabilizer_table`` derives the same tables from the graph by
     a DFT of the characteristic function; ``verify`` and the tests compare
-    the two.
+    the two.  ``qss`` samples from these tables, which are the oracle of the
+    closed-form information the other commands read.
     """
     d = g.d
     outcomes = np.arange(d)

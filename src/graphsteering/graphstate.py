@@ -4,8 +4,8 @@ The state is built from the Fourier-basis initial product state by applying
 one controlled-phase unitary per edge.  Edge unitaries are diagonal, so they
 are applied as phase masks on the amplitude array rather than materialized
 matrices; this keeps 16-qubit registers feasible.  No command builds it:
-every command reads the Bell-diagonal closed-form tables of
-``cloner.pair_tables``, and the state is the dense reference of the tests.
+the commands read closed forms (``cloner.pair_tables`` and the information
+of its matched tables), and the state is the dense reference of the tests.
 """
 
 from __future__ import annotations

@@ -269,9 +269,10 @@ def stabilizer_table(
     ``characteristic_table`` over d^2, with no state vector.  One DFT and
     one ``infotheory._check_prob_table`` serve the whole stack, which clips
     round-off entries near -1e-17 at 0; callers mix in white noise with
-    ``mix_white_noise``.  No command calls it: the commands read the closed
-    form ``cloner.pair_tables``, and this is ``verify``'s proof of it at
-    scale and the tests' oracle.
+    ``mix_white_noise``.  No command calls it: the commands read closed
+    forms (``cloner.pair_tables`` and the information of its matched
+    tables), and this is ``verify``'s proof of them at scale and the tests'
+    oracle.
     """
     chi = np.stack([characteristic_table(g, d, sa, sb, part) for sa, sb in pairs])
     return _check_prob_table(np.fft.fft2(chi).real / d ** 2, axes=(-2, -1))

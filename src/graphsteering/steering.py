@@ -1,4 +1,8 @@
-"""Steering certification, white-noise thresholds and key-rate bounds."""
+"""Steering certification, white-noise thresholds and key-rate bounds.
+
+Each reads a setting's information in closed form (``_matched_information``);
+the noisy tables of ``cloner.pair_tables`` are its oracle.
+"""
 
 from __future__ import annotations
 
@@ -6,19 +10,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import pair_tables, phase_covariant_gamma
 from .graphs import Bipartition, Graph
-from .infotheory import mutual_information
 from .registers import DensityOperator, PureState
-from .schmidt import derive_setting, mix_white_noise
+from .schmidt import derive_setting
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
 # Bracket widths at which the bisections for p_noise and D_c stop.
 NOISE_THRESHOLD_TOL = 1e-8
 CRITICAL_DISTURBANCE_TOL = 1e-9
-# Table entries a key_rate_scan chunk mixes at once: 4096 p values at d=2.
-SCAN_CHUNK_ENTRIES = 1 << 15
+# p values a key_rate_scan chunk evaluates at once, so its temporaries stay small.
+SCAN_CHUNK_P = 4096
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class SteeringReport:
 def white_noise(psi: PureState, p: float) -> DensityOperator:
     """Mix a pure state with the maximally mixed operator at intensity p.
 
-    A dense d^2N oracle for tests; certification mixes noise into the joint
-    table instead (``schmidt.mix_white_noise``).
+    A dense d^2N oracle for tests; certification reads the noisy information
+    in closed form instead.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
@@ -49,9 +51,11 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
-def _matched_tables(d: int) -> np.ndarray:
-    """The (2, d, d) stack of noiseless tables of the matched settings: eye/d each, on every accepted cut."""
-    return pair_tables(phase_covariant_gamma(0.0, d))[[0, 3]]
+def _matched_information(d: int, p):
+    """I = log2 d - H(p(d-1)/d) of (1-p) eye/d + p/d^2, whose marginals are uniform; p a float or an array."""
+    if not np.all((0.0 <= p) & (p <= 1.0)):  # a NaN fails too
+        raise ValueError(f"noise intensity must be in [0, 1], got {p}")
+    return np.log2(d) - disturbance_entropy(p * (d - 1) / d, d)
 
 
 def steering_statistic(
@@ -60,33 +64,20 @@ def steering_statistic(
     """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor.
 
     ``settings`` must be the cut's pair from ``derive_both_settings``, which
-    refuses the cuts that have none; the tables of that pair are the closed
-    form of ``cloner.pair_tables``, so they are not derived again here.
+    refuses the cuts that have none; every pair it accepts gives both
+    settings the matched closed form, so they are not read again here.
     """
-    i_per = tuple(mutual_information(mix_white_noise(_matched_tables(d), p)).tolist())
-    i_total = float(sum(i_per))
+    i_m = float(_matched_information(d, p))
+    i_total = i_m + i_m
     threshold = float(np.log2(d))
     margin = i_total - threshold
     return SteeringReport(
-        i_per_setting=i_per,
+        i_per_setting=(i_m, i_m),
         i_total=i_total,
         threshold=threshold,
         steerable=margin > STEERING_MARGIN,
         margin=margin,
     )
-
-
-def _noiseless_tables(g: Graph, d: int, part: Bipartition):
-    """The (2, d, d) stack of noiseless joint tables, one per setting, once the cut's settings are derived."""
-    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
-    return _matched_tables(d)
-
-
-def _noisy_i_total(tables, p):
-    """Total information of the setting tables mixed at noise p: one float p, or each of a 1-D array."""
-    if np.ndim(p):
-        p = p[:, None, None, None]
-    return mutual_information(mix_white_noise(tables, p)).sum(axis=-1)
 
 
 def _bisect(f, lo: float, hi: float, tol: float) -> float:
@@ -106,11 +97,12 @@ def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     Bisection on p; below the returned value the noisy state is certified
     steerable.
     """
-    tables = _noiseless_tables(g, d, part)
+    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
     threshold = np.log2(d)
 
     def excess(p: float) -> float:
-        return float(_noisy_i_total(tables, p)) - threshold
+        i_m = float(_matched_information(d, p))
+        return (i_m + i_m) - threshold
 
     f_lo, f_hi = excess(0.0), excess(1.0)
     if f_lo <= 0 or f_hi >= 0:
@@ -152,21 +144,19 @@ def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
     """Rows (p, i_total, r_lower) over a noise grid, sharing one derived setting.
 
     r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).  The
-    rows form an (n, 3) array.  Each chunk of p values mixes the two
-    noiseless tables into one (chunk, 2, d, d) stack of at most about
-    ``SCAN_CHUNK_ENTRIES`` entries, whose information is one stacked
-    ``mutual_information`` call.
+    rows form an (n, 3) array, filled ``SCAN_CHUNK_P`` p values at a time;
+    each row is bitwise ``steering_statistic`` at its p.
     """
     p_grid = np.asarray(p_grid, dtype=float).reshape(-1)
     if not np.all((0.0 <= p_grid) & (p_grid <= 1.0)):
         raise ValueError("noise grid must lie in [0, 1]")
-    tables = _noiseless_tables(g, d, part)
+    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
     threshold = float(np.log2(d))
     rows = np.empty((len(p_grid), 3))
-    chunk = max(1, SCAN_CHUNK_ENTRIES // tables.size)
-    for start in range(0, len(p_grid), chunk):
-        p = p_grid[start:start + chunk]
-        i_total = _noisy_i_total(tables, p)
+    for start in range(0, len(p_grid), SCAN_CHUNK_P):
+        p = p_grid[start:start + SCAN_CHUNK_P]
+        i_m = _matched_information(d, p)
+        i_total = i_m + i_m
         excess = i_total - threshold
-        rows[start:start + chunk] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
+        rows[start:start + SCAN_CHUNK_P] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
     return rows

@@ -5,9 +5,10 @@ results as (name, passed, detail) triples.  Every check runs the production
 closed-form path against the paper's values, at sizes no state vector fits;
 none builds a state vector or density matrix (the dense checks live in the
 tests).  The ideal-correlations check is the proof at scale that the
-commands' Bell-diagonal tables (``cloner.pair_tables``) are the graph
-state's: it derives each cut's four tables from the graph, by the DFT of
-``schmidt.stabilizer_table``, and compares them with the protocol's.
+Bell-diagonal tables (``cloner.pair_tables``) are the graph state's: it
+derives each cut's four tables by the DFT of ``schmidt.stabilizer_table``
+and compares them with the protocol's; key-rate-row compares their
+information with the closed form of ``certify``, ``fig4`` and ``fig5``.
 """
 
 from __future__ import annotations
@@ -29,9 +30,12 @@ from . import (
     mutual_information,
     no_sharing_sum,
     noise_threshold,
+    phase_covariant_gamma,
     stabilizer_table,
 )
+from .cloner import pair_tables
 from .protocol import setting_pair_tables
+from .schmidt import mix_white_noise
 
 
 def check_ideal_correlations():
@@ -97,12 +101,14 @@ def check_noise_threshold():
 
 
 def check_key_rate_row():
-    """One fig4 row, i_total = 2(log2 d - H(p(d-1)/d)), on star(10^4), whose state vector has 2^10000 entries."""
-    d, p, n = 2, 0.1, 10 ** 4
+    """fig4 rows on star(10^4), whose state vector has 2^10000 entries, against the noisy eye/d tables' information."""
+    p, n = 0.1, 10 ** 4
     g = make_star(n)
-    [(_, i_total, _)] = key_rate_scan(g, d, Bipartition.from_side_a(g, {1}), [p])
-    closed = 2 * (np.log2(d) - disturbance_entropy(p * (d - 1) / d, d))
-    assert abs(i_total - closed) < 1e-9, f"star({n}), d={d}, p={p}: i_total {i_total}"
+    for d in (2, 1448):
+        [(_, i_total, _)] = key_rate_scan(g, d, Bipartition.from_side_a(g, {1}), [p])
+        tables = mix_white_noise(pair_tables(phase_covariant_gamma(0.0, d))[[0, 3]], p)
+        i_tables = mutual_information(tables).sum()
+        assert abs(i_total - i_tables) < 1e-9, f"star({n}), d={d}, p={p}: i_total {i_total}, tables {i_tables}"
 
 
 ALL_CHECKS = [

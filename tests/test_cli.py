@@ -33,6 +33,22 @@ def reached(*args, **kwargs):
     raise Reached
 
 
+def patch_package(monkeypatch, names):
+    """Make each named function raise in every graphsteering module namespace that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "graphsteering" or name.startswith("graphsteering."):
+            for attr in names:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, reached)
+
+
+# An odd cycle, and a cut that no edge crosses: the refusals every command keeps.
+REFUSALS = [
+    ('{"n": 3, "d": 2, "edges": [[1, 2], [2, 3], [3, 1]]}', "1", 2, "NotTwoColorable"),
+    ('{"n": 4, "d": 3, "edges": [[1, 2], [3, 4]]}', "1,2", 3, "NoCorrelationForm"),
+]
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -238,11 +254,7 @@ class TestOneTableModel:
 
     @pytest.fixture(autouse=True)
     def dft_raises(self, monkeypatch):
-        for name, module in list(sys.modules.items()):
-            if name == "graphsteering" or name.startswith("graphsteering."):
-                for attr in ("stabilizer_table", "characteristic_table"):
-                    if hasattr(module, attr):
-                        monkeypatch.setattr(module, attr, reached)
+        patch_package(monkeypatch, ("stabilizer_table", "characteristic_table"))
 
     @pytest.mark.parametrize("args", [
         ["certify", "STAR3", "--p", "0.1"],
@@ -256,14 +268,32 @@ class TestOneTableModel:
         assert res.exit_code == 0, res.output
 
     @pytest.mark.parametrize("command", [["certify"], ["qss", "--rounds", "2000", "--graph-file"]])
-    @pytest.mark.parametrize("doc, partition, code, error", [
-        ('{"n": 3, "d": 2, "edges": [[1, 2], [2, 3], [3, 1]]}', "1", 2, "NotTwoColorable"),
-        ('{"n": 4, "d": 3, "edges": [[1, 2], [3, 4]]}', "1,2", 3, "NoCorrelationForm"),
-    ])
+    @pytest.mark.parametrize("doc, partition, code, error", REFUSALS)
     def test_refusals_unchanged(self, runner, tmp_path, command, doc, partition, code, error):
         path = tmp_path / "g.json"
         path.write_text(doc)
         res = runner.invoke(main, [*command, str(path), "--partition", partition])
+        assert res.exit_code == code
+        assert res.stderr.startswith(f"error: {error}")
+
+
+class TestNoTableForTheInformation:
+    """certify, fig4 and fig5 read the information in closed form; only qss builds d x d tables."""
+
+    @pytest.fixture(autouse=True)
+    def tables_raise(self, monkeypatch):
+        patch_package(monkeypatch, ("pair_tables", "mutual_information", "mix_white_noise"))
+
+    @pytest.mark.parametrize("args", [["certify", "STAR3", "--p", "0.1"], ["fig4", "--steps", "3"], ["fig5"]])
+    def test_commands_build_no_table(self, runner, star3_file, args):
+        res = runner.invoke(main, [star3_file if a == "STAR3" else a for a in args])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("doc, partition, code, error", REFUSALS)
+    def test_refusals_unchanged(self, runner, tmp_path, doc, partition, code, error):
+        path = tmp_path / "g.json"
+        path.write_text(doc)
+        res = runner.invoke(main, ["certify", str(path), "--partition", partition])
         assert res.exit_code == code
         assert res.stderr.startswith(f"error: {error}")
 

@@ -174,13 +174,17 @@ class TestKeyRate:
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_scan_equals_rows_one_at_a_time(self, d):
-        # several chunks at d=2, a p=0 row whose tables hold zeros, and p=1
+        # three chunks, a p=0 row whose tables hold zeros, and p=1; bitwise against
+        # steering_statistic, and to round-off against the eye/d tables one at a time
         g = make_chain(4)
         part = Bipartition.from_side_a(g, {1, 2})
+        settings = derive_both_settings(g, d, part)
         grid = np.concatenate([np.linspace(0.0, 1.0, 9001), [0.0, 0.5, 1.0]])
         rows = key_rate_scan(g, d, part, grid)
         assert rows.shape == (len(grid), 3)
-        assert rows.tolist() == [list(row) for row in key_rate_rows(g, d, part, grid)]
+        reports = [steering_statistic(g, d, settings, part, p) for p in grid.tolist()]
+        assert rows.tolist() == [[p, r.i_total, max(0.0, r.margin)] for p, r in zip(grid.tolist(), reports)]
+        np.testing.assert_allclose(rows, key_rate_rows(g, d, part, grid), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_scan_matches_stabilizer_table_rows(self, d):
