@@ -121,9 +121,9 @@ def disturbance_entropy(D, d: int):
     D = np.asarray(D, dtype=float)
     if not np.all((0.0 <= D) & (D <= 1.0)):
         raise ValueError(f"disturbance must be in [0, 1], got {D}")
-    with np.errstate(divide="ignore", invalid="ignore"):  # the 0 log 0 terms, replaced by 0
-        shift = np.where(0.0 < D, D * np.log2(D / (d - 1)), 0.0)
-        stay = np.where(D < 1.0, (1.0 - D) * np.log2(1.0 - D), 0.0)
+    q = D / (d - 1)  # a 0 log 0 term, or one whose D / (d-1) underflows to 0, is read as 0 log 1
+    shift = D * np.log2(np.where(0.0 < q, q, 1.0))
+    stay = (1.0 - D) * np.log2(np.where(D < 1.0, 1.0 - D, 1.0))
     out = (0.0 - shift) - stay
     return float(out) if out.ndim == 0 else out
 

@@ -1,10 +1,14 @@
+import contextlib
+import gc
 import hashlib
+import io
 import json
 import math
 import os
 import resource
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -837,3 +841,36 @@ def test_unwritable_out_exit_2(runner, star3_file, tmp_path, args):
     res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x.out")])
     assert res.exit_code == 2
     assert res.stderr.startswith("error: FileNotFoundError")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["certify", "GRAPH"], 0),
+        (["certify", "GRAPH", "--format", "csv"], 0),
+        (["certify", "GRAPH", "--p", "2"], 2),
+        (["qss", "--rounds", "100"], 0),
+        (["fig4", "--steps", "3"], 0),
+        (["fig5"], 0),
+        (["dc"], 0),
+        (["nosharing", "--samples", "3"], 0),
+        (["verify"], 0),
+    ],
+    ids=["certify-json", "certify-csv", "refusal", "qss", "fig4", "fig5", "dc", "nosharing", "verify"],
+)
+def test_in_process_call_keeps_no_stream(star3_file, args, code):
+    # an embedding program's redirected stdout and stderr die with their last reference
+    args = [star3_file if a == "GRAPH" else a for a in args]
+    out, err = io.StringIO(), io.StringIO()
+    refs = weakref.ref(out), weakref.ref(err)
+    exit_code = None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main.main(args=args, prog_name="graphsteering")
+        except SystemExit as exc:
+            exit_code = exc.code
+    assert exit_code == code
+    assert out.getvalue() or err.getvalue()
+    del out, err
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -244,6 +244,21 @@ class TestDisturbanceEntropy:
         with pytest.raises(ValueError):
             disturbance_entropy(-0.1, 2)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 1448])
+    def test_no_log_of_zero(self, d):
+        # the 0 log 0 terms at D = 0 and D = 1, and a D whose D / (d-1) underflows
+        grid = np.linspace(0.0, 1.0, 1001)
+        with np.errstate(divide="raise", invalid="raise"):
+            assert 0.0 <= disturbance_entropy(5e-324, d) < 1e-300
+        with np.errstate(all="raise"):
+            assert disturbance_entropy(0.0, d) == 0.0
+            assert disturbance_entropy(1.0, d) == pytest.approx(np.log2(d - 1), abs=1e-15)
+            values = disturbance_entropy(grid, d)
+        assert values[0] == 0.0 and np.all(np.isfinite(values)) and np.all(values >= 0.0)
+        assert values[-1] == disturbance_entropy(1.0, d)
+        if d == 2:
+            assert values[-1] == 0.0
+
 
 class TestCriticalDisturbance:
     def test_reference_values(self):
