@@ -271,7 +271,10 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
             flat[index] = _draw(cdf, rng.random(len(index)))
     a_out = np.empty(cfg.rounds, dtype=column)
     b_out = np.empty(cfg.rounds, dtype=column)
-    np.divmod(flat, d, out=(a_out, b_out))
+    # a*d wraps in the column, as d does (256 overflows a uint8), but b = flat - a*d < d fits it, so the wrap cancels
+    np.floor_divide(flat, d, out=a_out, casting="unsafe")
+    np.multiply(a_out, d & np.iinfo(column).max, out=b_out, casting="unsafe")
+    np.subtract(flat, b_out, out=b_out, casting="unsafe")
     return Transcript(
         setting_a=ma,
         setting_b=mb,

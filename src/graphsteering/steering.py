@@ -1,7 +1,8 @@
 """Steering certification, white-noise thresholds and key-rate bounds.
 
 Each reads a setting's information in closed form (``_matched_information``);
-the noisy tables of ``cloner.pair_tables`` are its oracle.
+the noisy tables of ``cloner.pair_tables`` are its oracle.  A float p or D
+takes one ``np.log2`` call in float arithmetic, bitwise as an array's entry.
 """
 
 from __future__ import annotations
@@ -51,11 +52,33 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
+def _entropy(D, log_q, log_stay):
+    """H(D) from log2(D / (d-1)) and log2(1-D), for floats or elementwise over arrays."""
+    return (0.0 - D * log_q) - (1.0 - D) * log_stay
+
+
+def _float_terms(d: int, D: float):
+    """(log2 d, H(D)) for a float D, in float arithmetic around one np.log2 call.
+
+    A 0 log 0 term, or one whose D / (d-1) underflows to 0, is read as 0 log 1.
+    """
+    q = D / (d - 1)
+    log_d, log_q, log_stay = np.log2([d, q if q > 0.0 else 1.0, 1.0 - D if D < 1.0 else 1.0]).tolist()
+    return log_d, _entropy(D, log_q, log_stay)
+
+
 def _matched_information(d: int, p):
-    """I = log2 d - H(p(d-1)/d) of (1-p) eye/d + p/d^2, whose marginals are uniform; p a float or an array."""
+    """(log2 d, I) with I = log2 d - H(p(d-1)/d), the information of (1-p) eye/d + p/d^2.
+
+    Its marginals are uniform.  A float p gives floats; an array p gives I elementwise.
+    """
+    if isinstance(p, float) and 0.0 <= p <= 1.0:
+        log_d, h = _float_terms(d, p * (d - 1) / d)
+        return log_d, log_d - h
     if not np.all((0.0 <= p) & (p <= 1.0)):  # a NaN fails too
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
-    return np.log2(d) - disturbance_entropy(p * (d - 1) / d, d)
+    log_d = np.log2(d)
+    return float(log_d), log_d - disturbance_entropy(p * (d - 1) / d, d)
 
 
 def steering_statistic(
@@ -67,9 +90,9 @@ def steering_statistic(
     refuses the cuts that have none; every pair it accepts gives both
     settings the matched closed form, so they are not read again here.
     """
-    i_m = float(_matched_information(d, p))
+    threshold, i_m = _matched_information(d, p)
+    i_m = float(i_m)
     i_total = i_m + i_m
-    threshold = float(np.log2(d))
     margin = i_total - threshold
     return SteeringReport(
         i_per_setting=(i_m, i_m),
@@ -95,36 +118,31 @@ def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
     """Noise intensity where the certified total information hits log2(d).
 
     Bisection on p; below the returned value the noisy state is certified
-    steerable.
+    steerable.  The excess is log2 d at p = 0 and -log2 d at p = 1, so
+    [0, 1] brackets the root for every d >= 2.
     """
     derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
-    threshold = np.log2(d)
 
     def excess(p: float) -> float:
-        i_m = float(_matched_information(d, p))
+        threshold, i_m = _matched_information(d, p)
         return (i_m + i_m) - threshold
 
-    f_lo, f_hi = excess(0.0), excess(1.0)
-    if f_lo <= 0 or f_hi >= 0:
-        raise RuntimeError(
-            "noise threshold not bracketed; correlation forms look defective "
-            f"(excess at 0: {f_lo}, at 1: {f_hi})"
-        )
     return _bisect(excess, 0.0, 1.0, NOISE_THRESHOLD_TOL)
 
 
 def disturbance_entropy(D, d: int):
     """H(D) = -(1-D) log2(1-D) - D log2(D / (d-1)), elementwise over an array D.
 
-    A scalar D gives a float.
+    A float D is evaluated in float arithmetic with one np.log2 call and gives
+    a float, as does any other scalar.
     """
+    if isinstance(D, float) and 0.0 <= D <= 1.0:
+        return _float_terms(d, D)[1]
     D = np.asarray(D, dtype=float)
     if not np.all((0.0 <= D) & (D <= 1.0)):
         raise ValueError(f"disturbance must be in [0, 1], got {D}")
     q = D / (d - 1)  # a 0 log 0 term, or one whose D / (d-1) underflows to 0, is read as 0 log 1
-    shift = D * np.log2(np.where(0.0 < q, q, 1.0))
-    stay = (1.0 - D) * np.log2(np.where(D < 1.0, 1.0 - D, 1.0))
-    out = (0.0 - shift) - stay
+    out = _entropy(D, np.log2(np.where(0.0 < q, q, 1.0)), np.log2(np.where(D < 1.0, 1.0 - D, 1.0)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -151,11 +169,10 @@ def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
     if not np.all((0.0 <= p_grid) & (p_grid <= 1.0)):
         raise ValueError("noise grid must lie in [0, 1]")
     derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
-    threshold = float(np.log2(d))
     rows = np.empty((len(p_grid), 3))
     for start in range(0, len(p_grid), SCAN_CHUNK_P):
         p = p_grid[start:start + SCAN_CHUNK_P]
-        i_m = _matched_information(d, p)
+        threshold, i_m = _matched_information(d, p)
         i_total = i_m + i_m
         excess = i_total - threshold
         rows[start:start + SCAN_CHUNK_P] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)

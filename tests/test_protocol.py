@@ -179,7 +179,7 @@ class TestRunProtocol:
         )
         assert_same_columns(run_protocol(cfg), choice_by_pair(cfg))
 
-    @pytest.mark.parametrize("d", [2, 3, 17])
+    @pytest.mark.parametrize("d", [2, 3, 17, 256, 257])
     @pytest.mark.parametrize("rounds", [1, 2, 7, 5000])
     def test_matches_choice_sampler_on_distinct_tables(self, monkeypatch, d, rounds):
         # the physical tables have (1, 1) == (2, 2) and (1, 2) == (2, 1), which hides the pair order

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from graphsteering import (
     two_color,
     white_noise,
 )
-from graphsteering import graphs
+from graphsteering import graphs, steering
 from oracle import key_rate_rows, pair_table, table_key_rate_rows
 
 
@@ -172,14 +174,15 @@ class TestKeyRate:
                 assert abs(i_total - expected_i) < 1e-9
                 assert abs(r_lower - max(0.0, expected_i - np.log2(d))) < 1e-9
 
-    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 16])
     def test_scan_equals_rows_one_at_a_time(self, d):
-        # three chunks, a p=0 row whose tables hold zeros, and p=1; bitwise against
-        # steering_statistic, and to round-off against the eye/d tables one at a time
+        # three chunks, a p=0 row whose tables hold zeros, p=1 and p next to both ends;
+        # bitwise against steering_statistic's float path, and to round-off against the
+        # eye/d tables one at a time
         g = make_chain(4)
         part = Bipartition.from_side_a(g, {1, 2})
         settings = derive_both_settings(g, d, part)
-        grid = np.concatenate([np.linspace(0.0, 1.0, 9001), [0.0, 0.5, 1.0]])
+        grid = np.concatenate([np.linspace(0.0, 1.0, 9001), [0.0, 0.5, 1.0, 5e-324, 1e-300, 1 - 2 ** -53]])
         rows = key_rate_scan(g, d, part, grid)
         assert rows.shape == (len(grid), 3)
         reports = [steering_statistic(g, d, settings, part, p) for p in grid.tolist()]
@@ -258,6 +261,37 @@ class TestDisturbanceEntropy:
         assert values[-1] == disturbance_entropy(1.0, d)
         if d == 2:
             assert values[-1] == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 1448])
+    def test_float_path_equals_array_path(self, d):
+        grid = np.concatenate([np.linspace(0.0, 1.0, 1001), [5e-324, 1e-300, 1 - 2 ** -53]])
+        floats = [repr(disturbance_entropy(D, d)) for D in grid.tolist()]
+        assert floats == [repr(v) for v in disturbance_entropy(grid, d).tolist()]
+
+
+def test_float_path_calls_no_numpy_but_one_log2(monkeypatch):
+    # with a numpy namespace that holds only a counting log2, any other numpy call raises
+    g = make_star(3)
+    part = Bipartition.from_side_a(g, {1})
+    settings = derive_both_settings(g, 3, part)
+    want = [
+        steering_statistic(g, 3, settings, part, p=0.13),
+        disturbance_entropy(0.2, 3),
+        noise_threshold(g, 3, part),
+        critical_disturbance(3),
+    ]
+    calls = []
+
+    def log2(x):
+        calls.append(x)
+        return np.log2(x)
+
+    monkeypatch.setattr(steering, "np", types.SimpleNamespace(log2=log2))
+    assert steering_statistic(g, 3, settings, part, p=0.13) == want[0]
+    assert len(calls) == 1
+    assert disturbance_entropy(0.2, 3) == want[1]
+    assert len(calls) == 2
+    assert [noise_threshold(g, 3, part), critical_disturbance(3)] == want[2:]
 
 
 class TestCriticalDisturbance:
