@@ -25,9 +25,9 @@ from .registers import MAX_STATE_BYTES
 from .schmidt import NoCorrelationForm
 from .steering import (
     critical_disturbance,
+    critical_noise,
     derive_both_settings,
-    key_rate_scan,
-    noise_threshold,
+    key_rate_curve,
     steering_statistic,
 )
 from . import verify as verify_mod
@@ -44,12 +44,9 @@ EXIT_DERIVATION = 3
 # the p grid and the (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 48
-# Peak memory per entry of a d x d joint table, rounded up from what the
-# tables took when they were a DFT of the characteristic function, the
-# ru_maxrss slope over d on the same machine: 48.3 bytes an entry for `qss`'s
-# four from d=1024 to 1448.  Only `qss` builds tables now; `certify`, `fig4`
-# and `fig5` read the information in closed form (32 MB VmHWM at any d) but
-# keep the bound of two tables, d <= 1448, that they had when they built them.
+# Peak memory per entry of `qss`'s four d x d joint tables, rounded up from
+# the ru_maxrss slope over d on the same machine when they were a DFT of the
+# characteristic function: 48.3 bytes an entry from d=1024 to 1448.
 TABLE_BYTES_PER_ENTRY = 64
 # Peak memory per vertex or edge of a graph, the ru_maxrss slope of `certify
 # --partition 1` at d=3 rounded up: 347-358 bytes between stars of 10^5 to 4*10^5
@@ -132,6 +129,11 @@ def _bound(option: str, value: int, n_bytes: int) -> None:
         )
 
 
+def _check_width(option: str, d: int) -> None:
+    if d >= 2 ** 64:  # numpy's log2 takes no integer wider than 64 bits
+        _refuse(f"{option} {d} is not below 2**64")
+
+
 def _check_seed(seed: int) -> None:
     """Refuse a seed that numpy's generators would reject with a traceback."""
     if seed < 0:
@@ -150,8 +152,8 @@ class _RefusingGroup(click.Group):
             _refuse(f"{type(exc).__name__}: {exc}", EXIT_DERIVATION)
 
 
-def _load_graph(path: str, tables: int):
-    """The file's graph and d, refused before anything lists its vertices or builds its ``tables`` d x d tables."""
+def _load_graph(path: str):
+    """The file's graph and d, refused before anything lists its vertices."""
     try:
         with open(path, encoding="utf-8") as handle:
             g, d = parse_graph(handle.read())
@@ -159,7 +161,7 @@ def _load_graph(path: str, tables: int):
         _refuse(str(exc))
     size = g.n_vertices + len(g.edges)
     _bound("graph n + |E|", size, GRAPH_BYTES_PER_ELEMENT * size)
-    _bound("d", d, TABLE_BYTES_PER_ENTRY * tables * d * d)
+    _check_width("d", d)
     return g, d
 
 
@@ -184,8 +186,7 @@ def _parse_d_list(text: str) -> list:
         values = []
     if not values or any(d < 2 for d in values):
         _refuse(f"bad dimension list {text!r}")
-    if max(values) >= 2 ** 64:  # numpy's log2 takes no integer wider than 64 bits
-        _refuse(f"--d {max(values)} is not below 2**64")
+    _check_width("--d", max(values))
     return values
 
 
@@ -203,7 +204,7 @@ def main():
 @click.option("--out", default=None, type=click.Path(), help="Output file (default: stdout).")
 def certify(graph_file, partition, p, fmt, out):
     """Certify steering of a (noisy) graph state from a graph file."""
-    g, d = _load_graph(graph_file, 2)  # bounded as two tables, though it builds none
+    g, d = _load_graph(graph_file)
     part = _parse_partition(g, partition)
     if not 0.0 <= p <= 1.0:
         _refuse("--p must be in [0, 1]")
@@ -241,17 +242,13 @@ def fig4(d_list, n, p_max, steps, out):
     if n < 2 or steps < 1 or not 0.0 <= p_max <= 1.0:
         _refuse("bad ranges")
     _bound("--steps", steps, FIG4_BYTES_PER_ROW * steps * len(dims))
-    _bound("--n", n, GRAPH_BYTES_PER_ELEMENT * (2 * n - 1))  # star(n) has n - 1 edges
-    _bound("--d", max(dims), TABLE_BYTES_PER_ENTRY * 2 * max(dims) ** 2)
-    g = make_star(n)
-    part = Bipartition.from_side_a(g, {1})
     grid = np.linspace(0.0, p_max, steps)
     manifest = _manifest("fig4", {"d": dims, "n": n, "p_max": p_max, "steps": steps})
 
     def document():
         yield _csv_document(manifest, ["d", "N", "p", "i_total", "r_lower"], [])
         for d in dims:
-            rows = key_rate_scan(g, d, part, grid)
+            rows = key_rate_curve(d, grid)
             for start in range(0, steps, CSV_CHUNK_ROWS):
                 chunk = rows[start:start + CSV_CHUNK_ROWS]
                 yield (f"{d},{n},%r,%r,%r\n" * len(chunk)) % tuple(chunk.ravel().tolist())
@@ -265,10 +262,7 @@ def fig4(d_list, n, p_max, steps, out):
 def fig5(d_list, out):
     """White-noise tolerance of the steering criterion (CSV: d,p_noise)."""
     dims = _parse_d_list(d_list)
-    _bound("--d", max(dims), TABLE_BYTES_PER_ENTRY * 2 * max(dims) ** 2)
-    g = make_star(3)
-    part = Bipartition.from_side_a(g, {1})
-    rows = [(d, noise_threshold(g, d, part)) for d in dims]
+    rows = [(d, critical_noise(d)) for d in dims]
     manifest = _manifest("fig5", {"d": dims})
     _emit([_csv_document(manifest, ["d", "p_noise"], rows)], out)
 
@@ -294,6 +288,7 @@ def nosharing(d, samples, seed, out):
     if d < 2 or samples < 1:
         _refuse("bad ranges")
     _check_seed(seed)
+    _check_width("--d", d)
     _bound("--d", d, 8 * d * d)  # each sample's float64 d x d gamma table
     rng = np.random.default_rng(seed)
     bound = 2 * float(np.log2(d))
@@ -329,7 +324,8 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     _check_seed(seed)
     _bound("--rounds", rounds, QSS_BYTES_PER_ROUND * rounds)
     if graph_file is not None:
-        g, d = _load_graph(graph_file, 4)  # one table per setting pair
+        g, d = _load_graph(graph_file)
+        _bound("d", d, TABLE_BYTES_PER_ENTRY * 4 * d * d)  # one table per setting pair
     else:
         g, d = make_star(3), 2
     part = _parse_partition(g, partition)

@@ -114,20 +114,25 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
-    """Noise intensity where the certified total information hits log2(d).
+def critical_noise(d: int) -> float:
+    """Noise intensity where the certified total information of a cut hits log2(d).
 
     Bisection on p; below the returned value the noisy state is certified
     steerable.  The excess is log2 d at p = 0 and -log2 d at p = 1, so
     [0, 1] brackets the root for every d >= 2.
     """
-    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
 
     def excess(p: float) -> float:
         threshold, i_m = _matched_information(d, p)
         return (i_m + i_m) - threshold
 
     return _bisect(excess, 0.0, 1.0, NOISE_THRESHOLD_TOL)
+
+
+def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
+    """``critical_noise(d)`` for a cut that ``derive_both_settings`` accepts."""
+    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
+    return critical_noise(d)
 
 
 def disturbance_entropy(D, d: int):
@@ -158,17 +163,14 @@ def critical_disturbance(d: int) -> float:
     return _bisect(lambda D: target - disturbance_entropy(D, d), 0.0, (d - 1) / d, CRITICAL_DISTURBANCE_TOL)
 
 
-def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
-    """Rows (p, i_total, r_lower) over a noise grid, sharing one derived setting.
+def key_rate_curve(d: int, p_grid) -> np.ndarray:
+    """Rows (p, i_total, r_lower) of a cut over a noise grid, each p checked once to lie in [0, 1].
 
     r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).  The
     rows form an (n, 3) array, filled ``SCAN_CHUNK_P`` p values at a time;
     each row is bitwise ``steering_statistic`` at its p.
     """
     p_grid = np.asarray(p_grid, dtype=float).reshape(-1)
-    if not np.all((0.0 <= p_grid) & (p_grid <= 1.0)):
-        raise ValueError("noise grid must lie in [0, 1]")
-    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
     rows = np.empty((len(p_grid), 3))
     for start in range(0, len(p_grid), SCAN_CHUNK_P):
         p = p_grid[start:start + SCAN_CHUNK_P]
@@ -177,3 +179,9 @@ def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
         excess = i_total - threshold
         rows[start:start + SCAN_CHUNK_P] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
     return rows
+
+
+def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:
+    """``key_rate_curve(d, p_grid)`` for a cut that ``derive_both_settings`` accepts."""
+    derive_both_settings(g, d, part)  # refuses an odd cycle and a cut that no edge crosses
+    return key_rate_curve(d, p_grid)

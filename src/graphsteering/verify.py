@@ -23,19 +23,18 @@ from . import (
     derive_both_settings,
     dirichlet_gamma,
     disturbance_entropy,
-    key_rate_scan,
     make_chain,
     make_grid,
     make_star,
     mutual_information,
     no_sharing_sum,
-    noise_threshold,
     phase_covariant_gamma,
     stabilizer_table,
 )
 from .cloner import pair_tables
 from .protocol import setting_pair_tables
 from .schmidt import mix_white_noise
+from .steering import critical_noise, key_rate_curve
 
 
 def check_ideal_correlations():
@@ -91,9 +90,7 @@ def check_critical_disturbance():
 
 
 def check_noise_threshold():
-    g = make_star(3)
-    part = Bipartition.from_side_a(g, {1})
-    p_noise = {d: noise_threshold(g, d, part) for d in (2, 3)}
+    p_noise = {d: critical_noise(d) for d in (2, 3)}
     assert abs(p_noise[2] - 0.22) < 1e-3, f"p_noise(2) = {p_noise[2]}"
     for d, p in p_noise.items():
         dc = critical_disturbance(d)
@@ -101,14 +98,12 @@ def check_noise_threshold():
 
 
 def check_key_rate_row():
-    """fig4 rows on star(10^4), whose state vector has 2^10000 entries, against the noisy eye/d tables' information."""
-    p, n = 0.1, 10 ** 4
-    g = make_star(n)
-    for d in (2, 1448):
-        [(_, i_total, _)] = key_rate_scan(g, d, Bipartition.from_side_a(g, {1}), [p])
+    """fig4 rows, a function of d and p alone, against the noisy eye/d tables' information."""
+    for d, p in ((2, 0.1), (1448, 0.3)):
+        [(_, i_total, _)] = key_rate_curve(d, [p])
         tables = mix_white_noise(pair_tables(phase_covariant_gamma(0.0, d))[[0, 3]], p)
         i_tables = mutual_information(tables).sum()
-        assert abs(i_total - i_tables) < 1e-9, f"star({n}), d={d}, p={p}: i_total {i_total}, tables {i_tables}"
+        assert abs(i_total - i_tables) < 1e-9, f"d={d}, p={p}: i_total {i_total}, tables {i_tables}"
 
 
 ALL_CHECKS = [

@@ -302,6 +302,56 @@ class TestNoTableForTheInformation:
         assert res.stderr.startswith(f"error: {error}")
 
 
+class TestNoGraphForTheCurves:
+    """fig4 and fig5 are functions of d and p alone: they build, color and cut no graph."""
+
+    @pytest.fixture(autouse=True)
+    def graphs_raise(self, monkeypatch):
+        patch_package(monkeypatch, ("make_star", "derive_both_settings", "two_color"))
+
+    @pytest.mark.parametrize("args", [
+        ["fig4", "--d", "2,3,5", "--steps", "21"],
+        ["fig4", "--d", "2", "--n", "100000000", "--steps", "3"],
+        ["fig5", "--d", "2,3,5"],
+    ])
+    def test_curves_exit_0(self, runner, args):
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, res.output
+
+
+WIDE_DIMENSIONS = [1449, 10 ** 6, 2 ** 64 - 1]
+
+
+class TestWideDimensions:
+    """certify, fig4 and fig5 take any d below 2**64: they build no d x d table."""
+
+    @pytest.mark.parametrize("d", WIDE_DIMENSIONS)
+    def test_certify_closed_form(self, runner, tmp_path, d):
+        p = 0.1
+        res = runner.invoke(main, [*table_command("certify", d, tmp_path), "--p", str(p)])
+        assert res.exit_code == 0, res.output
+        D = p * (d - 1) / d
+        h = -(1 - D) * math.log2(1 - D) - D * math.log2(D / (d - 1))
+        assert abs(json.loads(res.output)["i_total"] - 2 * (math.log2(d) - h)) < 1e-9
+
+    @pytest.mark.parametrize("d", WIDE_DIMENSIONS)
+    def test_fig5_equals_noise_threshold(self, runner, d):
+        from graphsteering import Bipartition, make_star, noise_threshold
+
+        res = runner.invoke(main, ["fig5", "--d", str(d)])
+        assert res.exit_code == 0, res.output
+        g = make_star(3)
+        [[_, p_noise]] = parse_csv(res.output)[2]
+        assert p_noise == repr(noise_threshold(g, d, Bipartition.from_side_a(g, {1})))
+
+    @pytest.mark.parametrize("d", WIDE_DIMENSIONS)
+    def test_fig4_rows(self, runner, d):
+        res = runner.invoke(main, ["fig4", "--d", str(d), "--steps", "3"])
+        assert res.exit_code == 0, res.output
+        _, _, rows = parse_csv(res.output)
+        assert float(rows[0][4]) == float(np.log2(d)) and float(rows[-1][4]) == 0.0
+
+
 class TestOutPathErrors:
     """An unwritable --out exits 2 naming the given path, and leaves no temp file behind."""
 
@@ -361,11 +411,13 @@ class TestFig4:
         _, _, rows = parse_csv(res.output)
         assert [r[1] for r in rows] == ["64", "64"] and abs(float(rows[0][3]) - 2.0) < 1e-9
 
-    def test_oversized_star_refused_before_built(self, runner, monkeypatch):
+    def test_oversized_star_never_built(self, runner, monkeypatch):
+        # --n only labels the N column: the rows are functions of d and p
         monkeypatch.setattr(cli, "make_star", reached)
         res = runner.invoke(main, ["fig4", "--d", "2", "--n", "100000000", "--steps", "2"])
-        assert res.exit_code == 2
-        assert res.stderr.startswith("error: --n 100000000 needs")
+        assert res.exit_code == 0, res.output
+        _, _, rows = parse_csv(res.output)
+        assert [r[1] for r in rows] == ["100000000", "100000000"]
 
     def test_oversized_grid_exit_2(self, runner):
         res = runner.invoke(main, ["fig4", "--d", "2", "--steps", "10000000000"])
@@ -375,7 +427,7 @@ class TestFig4:
     @pytest.mark.parametrize("d_list", ["2", "2,3,5"])
     def test_steps_bound_at_boundary(self, runner, monkeypatch, d_list):
         # steps x dimensions output rows, FIG4_BYTES_PER_ROW each, fit in MAX_STATE_BYTES
-        monkeypatch.setattr(cli, "key_rate_scan", reached)
+        monkeypatch.setattr(cli, "key_rate_curve", reached)
         dims = len(d_list.split(","))
         largest = MAX_STATE_BYTES // (FIG4_BYTES_PER_ROW * dims)
         res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest)])
@@ -416,18 +468,22 @@ class TestFig5AndDc:
         assert abs(float(rows[1][1]) - 0.1595) < 5e-4
 
     def test_fig5_oversized_register_exit_2(self, runner):
-        # star(3) at d=1000 needs no 16 * 1000^3-byte state: the table bound admits it
+        # star(3) at d=1000 needs no 16 * 1000^3-byte state, nor any table
         res = runner.invoke(main, ["fig5", "--d", "1000"])
         assert res.exit_code == 0
         _, _, rows = parse_csv(res.output)
         assert abs(float(rows[0][1]) - 0.4029) < 1e-4
 
-    @pytest.mark.parametrize("command", ["dc", "fig5", "fig4"])
+    @pytest.mark.parametrize("command", ["dc", "fig5", "fig4", "certify", "qss"])
     @pytest.mark.parametrize("d", [2 ** 64, 10 ** 400], ids=["2**64", "10**400"])
-    def test_dimension_beyond_64_bits_exit_2(self, runner, command, d):
-        res = runner.invoke(main, [command, "--d", f"2,{d}"])
+    def test_dimension_beyond_64_bits_exit_2(self, runner, tmp_path, command, d):
+        if command in ("certify", "qss"):  # d from a graph file
+            args, option = table_command(command, d, tmp_path), "d"
+        else:
+            args, option = [command, "--d", f"2,{d}"], "--d"
+        res = runner.invoke(main, args)
         assert res.exit_code == 2
-        assert res.stderr == f"error: --d {d} is not below 2**64\n"
+        assert res.stderr == f"error: {option} {d} is not below 2**64\n"
 
     def test_consistency_between_commands(self, runner):
         res_dc = runner.invoke(main, ["dc", "--d", "2,3"])
@@ -469,6 +525,11 @@ class TestNoSharing:
         res = runner.invoke(main, ["nosharing", "--d", "100000", "--samples", "1"])
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --d")
+
+    def test_dimension_beyond_64_bits_exit_2(self, runner):
+        res = runner.invoke(main, ["nosharing", "--d", str(2 ** 64), "--samples", "1"])
+        assert res.exit_code == 2
+        assert res.stderr == f"error: --d {2 ** 64} is not below 2**64\n"
 
 
 class TestQss:
@@ -658,8 +719,9 @@ class TestQss:
         assert abs(payload["i_hat_total"] - 2 * np.log2(3)) < 0.05
 
 
-# Commands whose d x d joint tables are bounded, with how many tables each holds.
-TABLE_COMMANDS = [("certify", 2), ("fig4", 2), ("qss", 4)]
+# Commands whose d x d joint tables are bounded, with how many tables each holds:
+# certify, fig4 and fig5 build none, and take any d below 2**64.
+TABLE_COMMANDS = [("qss", 4)]
 
 
 def largest_table_d(tables):
@@ -672,9 +734,7 @@ LARGEST_STAR = (MAX_STATE_BYTES // GRAPH_BYTES_PER_ELEMENT + 1) // 2
 
 
 def star_command(command, n, directory):
-    """Arguments of ``command`` on star(n) at d=2: a graph file, or fig4's --n."""
-    if command == "fig4":
-        return ["fig4", "--d", "2", "--n", str(n), "--steps", "2"]
+    """Arguments of ``command`` on star(n) at d=2, from a graph file."""
     path = directory / f"star{n}.json"
     path.write_text(json.dumps({"n": n, "d": 2, "edges": [[1, k] for k in range(2, n + 1)]}))
     return [command, str(path)] if command == "certify" else ["qss", "--graph-file", str(path), "--rounds", "1000"]
@@ -684,7 +744,7 @@ def table_command(command, d, directory):
     """Arguments of ``command`` at dimension d on a two-qudit graph (one edge)."""
     if command in ("fig4", "fig5"):
         return [command, "--d", str(d)] + (["--n", "2", "--steps", "2"] if command == "fig4" else [])
-    path = directory / f"pair{d}.json"
+    path = directory / "pair.json"
     path.write_text(json.dumps({"n": 2, "d": d, "edges": [[1, 2]]}))
     if command == "certify":
         return ["certify", str(path)]
@@ -717,9 +777,15 @@ class TestLargestAcceptedSizes:
 
     @pytest.mark.parametrize("command, tables", TABLE_COMMANDS)
     def test_largest_table_dimension(self, baseline, tmp_path, command, tables):
-        # d = 1448 for two tables (certify, fig4) and 1024 for qss's four; about 1 s each
+        # d = 1024 for qss's four tables; about 1 s
         d = largest_table_d(tables)
         proc = run_child(table_command(command, d, tmp_path), baseline + MAX_STATE_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("command", ["certify", "fig4", "fig5"])
+    def test_widest_dimension(self, baseline, tmp_path, command):
+        # the closed form takes any d below 2**64 in a small run's memory
+        proc = run_child(table_command(command, 2 ** 64 - 1, tmp_path), baseline + MAX_STATE_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     def test_largest_attacked_qss_dimension(self, baseline, tmp_path):
@@ -733,7 +799,7 @@ class TestLargestAcceptedSizes:
         proc = run_child(star_command("certify", LARGEST_STAR, tmp_path), baseline + MAX_STATE_BYTES)
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize("command", ["certify", "fig4", "qss"])
+    @pytest.mark.parametrize("command", ["certify", "qss"])
     def test_graph_bound_at_boundary(self, runner, monkeypatch, tmp_path, command):
         # the next star is refused before its vertices are listed or the star is built
         for stage in ("make_star", "derive_both_settings", "run_protocol"):
@@ -743,10 +809,9 @@ class TestLargestAcceptedSizes:
         assert isinstance(res.exception, Reached)
         res = runner.invoke(main, star_command(command, LARGEST_STAR + 1, tmp_path))
         assert res.exit_code == 2
-        size = LARGEST_STAR + 1 if command == "fig4" else 2 * LARGEST_STAR + 1
-        assert res.stderr.startswith(f"error: {'--n' if command == 'fig4' else 'graph n + |E|'} {size} needs")
+        assert res.stderr.startswith(f"error: graph n + |E| {2 * LARGEST_STAR + 1} needs")
 
-    @pytest.mark.parametrize("command, tables", [*TABLE_COMMANDS, ("fig5", 2)])
+    @pytest.mark.parametrize("command, tables", TABLE_COMMANDS)
     def test_table_bound_at_boundary(self, runner, monkeypatch, tmp_path, command, tables):
         # the next d is refused before any table, setting or star is built
         d = largest_table_d(tables)
@@ -756,7 +821,7 @@ class TestLargestAcceptedSizes:
         assert isinstance(res.exception, Reached)
         res = runner.invoke(main, table_command(command, d + 1, tmp_path))
         assert res.exit_code == 2
-        assert res.stderr.startswith(f"error: {'--d' if command in ('fig4', 'fig5') else 'd'} {d + 1} needs")
+        assert res.stderr.startswith(f"error: d {d + 1} needs")
 
 
 

@@ -205,6 +205,31 @@ class TestKeyRate:
             key_rate_scan(g, 2, part, [0.0, 1.2])
 
 
+class TestGraphFreeCurves:
+    """key_rate_scan and noise_threshold are the cut's refusals plus the functions of d alone."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 1449, 2 ** 64 - 1])
+    def test_equal_to_the_graph_functions(self, d):
+        g = make_chain(4)
+        part = Bipartition.from_side_a(g, {1, 2})
+        grid = np.linspace(0.0, 1.0, 101)
+        assert steering.key_rate_curve(d, grid).tolist() == key_rate_scan(g, d, part, grid).tolist()
+        assert steering.critical_noise(d) == noise_threshold(g, d, part)
+
+    def test_refusals_stay_with_the_graph(self):
+        g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
+        part = Bipartition.from_side_a(g, {1})
+        with pytest.raises(NotTwoColorable):
+            noise_threshold(g, 2, part)
+        with pytest.raises(NotTwoColorable):
+            key_rate_scan(g, 2, part, [0.1])
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.2], [-0.1], [float("nan")]])
+    def test_curve_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="noise intensity must be in"):
+            steering.key_rate_curve(2, grid)
+
+
 class TestDeriveBothSettings:
     def test_odd_cycle_rejected(self):
         g = Graph(3, frozenset({(1, 2), (2, 3), (3, 1)}))
