@@ -39,9 +39,10 @@ EXIT_DERIVATION = 3
 # Peak memory per unit of a command-line size, measured as the ru_maxrss slope
 # (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 12 bytes a
 # round from 2^18 to 2^21 rounds at d=2 (at most 12.8 between doublings) and by
-# 17 at d=257 (at most 19.5), whose outcomes take two bytes; `fig4 --d 2` by 34
-# bytes an output row from 2^18 to 2^22 rows (at most 37.2 between doublings):
-# the p grid and the (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
+# 21.1 at d=257 (24.4 between 2^19 and 2^20, above the constant), whose
+# outcomes take two bytes; `fig4 --d 2` by 34 bytes an output row from 2^18 to
+# 2^22 rows (at most 37.2 between doublings): the p grid and the
+# (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 48
 # Peak memory per entry of `qss`'s four d x d joint tables, rounded up from
@@ -284,7 +285,12 @@ def dc(d_list, out):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--out", default=None, type=click.Path())
 def nosharing(d, samples, seed, out):
-    """Monte-Carlo check of the no-sharing inequality over random attacks."""
+    """Monte-Carlo check of the no-sharing inequality over random attacks.
+
+    max_total adds the A-B information to the Holevo-chain bound on the A-C
+    information, which sum to exactly 2 log2 d for every attack, so
+    violations cannot fire until the A-C information is computed on its own.
+    """
     if d < 2 or samples < 1:
         _refuse("bad ranges")
     _check_seed(seed)
@@ -347,6 +353,7 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
         _atomic_write(out, transcript.to_jsonl)
     payload = {
         "i_hat_total": est.i_hat_total,
+        "i_lower_total": est.i_lower_total,
         "r_hat_lower": est.r_hat_lower,
         "sifted_rounds": list(est.sifted_rounds),
         "steerable_hat": est.steerable_hat,

@@ -16,7 +16,7 @@ import pytest
 from click.testing import CliRunner
 
 import oracle
-from graphsteering import cli, graphstate
+from graphsteering import Bipartition, cli, graphstate, make_star, noise_threshold
 from graphsteering.cli import (
     FIG4_BYTES_PER_ROW,
     GRAPH_BYTES_PER_ELEMENT,
@@ -311,7 +311,6 @@ class TestNoGraphForTheCurves:
 
     @pytest.mark.parametrize("args", [
         ["fig4", "--d", "2,3,5", "--steps", "21"],
-        ["fig4", "--d", "2", "--n", "100000000", "--steps", "3"],
         ["fig5", "--d", "2,3,5"],
     ])
     def test_curves_exit_0(self, runner, args):
@@ -336,8 +335,6 @@ class TestWideDimensions:
 
     @pytest.mark.parametrize("d", WIDE_DIMENSIONS)
     def test_fig5_equals_noise_threshold(self, runner, d):
-        from graphsteering import Bipartition, make_star, noise_threshold
-
         res = runner.invoke(main, ["fig5", "--d", str(d)])
         assert res.exit_code == 0, res.output
         g = make_star(3)
@@ -474,11 +471,13 @@ class TestFig5AndDc:
         _, _, rows = parse_csv(res.output)
         assert abs(float(rows[0][1]) - 0.4029) < 1e-4
 
-    @pytest.mark.parametrize("command", ["dc", "fig5", "fig4", "certify", "qss"])
+    @pytest.mark.parametrize("command", ["dc", "fig5", "fig4", "certify", "qss", "nosharing"])
     @pytest.mark.parametrize("d", [2 ** 64, 10 ** 400], ids=["2**64", "10**400"])
     def test_dimension_beyond_64_bits_exit_2(self, runner, tmp_path, command, d):
         if command in ("certify", "qss"):  # d from a graph file
             args, option = table_command(command, d, tmp_path), "d"
+        elif command == "nosharing":  # one d
+            args, option = ["nosharing", "--d", str(d)], "--d"
         else:
             args, option = [command, "--d", f"2,{d}"], "--d"
         res = runner.invoke(main, args)
@@ -526,11 +525,6 @@ class TestNoSharing:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --d")
 
-    def test_dimension_beyond_64_bits_exit_2(self, runner):
-        res = runner.invoke(main, ["nosharing", "--d", str(2 ** 64), "--samples", "1"])
-        assert res.exit_code == 2
-        assert res.stderr == f"error: --d {2 ** 64} is not below 2**64\n"
-
 
 class TestQss:
     def test_default_run(self, runner):
@@ -538,6 +532,7 @@ class TestQss:
         assert res.exit_code == 0
         payload = json.loads(res.output)
         assert abs(payload["i_hat_total"] - 2.0) < 0.05
+        assert 2.0 - 0.05 < payload["i_lower_total"] < payload["i_hat_total"]
         assert payload["steerable_hat"] is True
 
     def test_supercritical_disturbance(self, runner):
@@ -702,8 +697,9 @@ class TestQss:
             main, ["qss", "--graph-file", str(path), "--disturbance", "0.1", "--rounds", "1000"]
         )
         if d == 1000:
+            # about 500 sifted rounds a setting over 10^6 cells certify nothing
             assert res.exit_code == 0, res.output
-            assert json.loads(res.output)["steerable_hat"] is True
+            assert json.loads(res.output)["steerable_hat"] is False
         else:
             assert res.exit_code == 2
             assert res.stderr.startswith(f"error: d {d} needs")

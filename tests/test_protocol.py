@@ -27,6 +27,7 @@ from graphsteering.infotheory import mutual_information
 from graphsteering.protocol import JSONL_CHUNK_ROWS, setting_pair_tables
 from graphsteering.schmidt import mix_white_noise
 from graphsteering.steering import (
+    critical_noise,
     derive_both_settings,
     noise_threshold,
     steering_statistic,
@@ -275,6 +276,30 @@ class TestEstimateRates:
         cfg = ProtocolConfig(graph=g, d=2, part=part, noise_p=p, rounds=100_000, seed=29)
         est = estimate_rates(run_protocol(cfg), 2)
         assert not est.steerable_hat
+
+    @pytest.mark.parametrize(
+        "d, attack",
+        [(1024, {"cloner_disturbance": 0.6}), (64, {"noise_p": 1.05 * critical_noise(64)})],
+        ids=["d1024-cloner", "d64-noise"],
+    )
+    def test_plug_in_bias_certifies_nothing(self, d, attack):
+        # the plug-in estimate clears log2 d on its upward bias alone: 13.36 at d=1024, 6.03 at d=64
+        g = make_star(3)
+        cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), rounds=100_000, seed=0, **attack)
+        est = estimate_rates(run_protocol(cfg), d)
+        assert est.i_hat_total > np.log2(d)
+        assert est.i_lower_total < np.log2(d)
+        assert est.steerable_hat is False and est.r_hat_lower == 0.0
+
+    @pytest.mark.parametrize("d", [2, 3, 17])
+    def test_lower_total_subtracts_the_bias_bound(self, d):
+        g = make_chain(3)
+        cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), noise_p=0.1, rounds=20_000, seed=d)
+        est = estimate_rates(run_protocol(cfg), d)
+        bias = sum(np.log2(1 + (d * d - 1) / n) for n in est.sifted_rounds)
+        assert abs(est.i_lower_total - (est.i_hat_total - bias)) < 1e-12
+        assert est.r_hat_lower == max(0.0, est.i_lower_total - np.log2(d))
+        assert est.steerable_hat == (est.i_lower_total > np.log2(d))
 
     def test_single_sifted_round_per_setting(self):
         t = Transcript(
