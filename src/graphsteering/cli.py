@@ -40,20 +40,20 @@ EXIT_DERIVATION = 3
 # (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 12 bytes a
 # round from 2^18 to 2^21 rounds at d=2 (at most 12.8 between doublings) and by
 # 21.1 at d=257 (24.4 between 2^19 and 2^20, above the constant), whose
-# outcomes take two bytes; `fig4 --d 2` by 34 bytes an output row from 2^18 to
-# 2^22 rows (at most 37.2 between doublings): the p grid and the
-# (p, i_total, r_lower) rows, 32 bytes, plus one chunk.
+# outcomes take two bytes; `fig4 --d 2` by 10.9 bytes an output row from 2^18
+# to 2^22 rows: the 8-byte p grid, since the rows are computed and written one
+# `CSV_CHUNK_ROWS` chunk at a time.
 QSS_BYTES_PER_ROUND = 24
 FIG4_BYTES_PER_ROW = 48
 # Peak memory per entry of `qss`'s four d x d joint tables, rounded up from
-# the ru_maxrss slope over d on the same machine when they were a DFT of the
-# characteristic function: 48.3 bytes an entry from d=1024 to 1448.
+# the peak-RSS slope over d on the same machine: 17.8 bytes an entry from
+# d=512 to 1024, for the closed-form tables of `cloner.pair_tables`.
 TABLE_BYTES_PER_ENTRY = 64
 # Peak memory per vertex or edge of a graph, the ru_maxrss slope of `certify
 # --partition 1` at d=3 rounded up: 347-358 bytes between stars of 10^5 to 4*10^5
 # vertices, 304 between such chains, 281 between 316^2 and 632^2 grids (359 MB).
 GRAPH_BYTES_PER_ELEMENT = 512
-# Output rows formatted and written at a time by `fig4`.
+# Output rows computed, formatted and written at a time by `fig4`.
 CSV_CHUNK_ROWS = 4096
 
 
@@ -233,7 +233,7 @@ def certify(graph_file, partition, p, fmt, out):
 
 @main.command()
 @click.option("--d", "d_list", default="2,3,5", show_default=True, help="Comma-separated dimensions.")
-@click.option("--n", default=3, show_default=True, help="Number of qudits (star graph).")
+@click.option("--n", default=3, show_default=True, help="Label of the N column; the rows do not depend on it.")
 @click.option("--p-max", default=1.0, show_default=True, help="Upper end of the noise grid.")
 @click.option("--steps", default=21, show_default=True, help="Grid points per dimension.")
 @click.option("--out", default=None, type=click.Path())
@@ -249,10 +249,9 @@ def fig4(d_list, n, p_max, steps, out):
     def document():
         yield _csv_document(manifest, ["d", "N", "p", "i_total", "r_lower"], [])
         for d in dims:
-            rows = key_rate_curve(d, grid)
             for start in range(0, steps, CSV_CHUNK_ROWS):
-                chunk = rows[start:start + CSV_CHUNK_ROWS]
-                yield (f"{d},{n},%r,%r,%r\n" * len(chunk)) % tuple(chunk.ravel().tolist())
+                rows = key_rate_curve(d, grid[start:start + CSV_CHUNK_ROWS])
+                yield (f"{d},{n},%r,%r,%r\n" * len(rows)) % tuple(rows.ravel().tolist())
 
     _emit(document(), out)
 

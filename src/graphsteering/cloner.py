@@ -34,9 +34,9 @@ class GammaDistribution:
         g = np.asarray(self.gamma, dtype=float)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gamma must be a square table")
-        if np.min(g) < 0:
-            raise ValueError("gamma has a negative entry")
-        if abs(g.sum() - 1.0) > 1e-12:
+        if not (g >= 0).all():  # written so that a NaN fails
+            raise ValueError("gamma has a negative or NaN entry")
+        if not abs(g.sum() - 1.0) <= 1e-12:
             raise ValueError(f"gamma sums to {g.sum()}, expected 1")
         g.setflags(write=False)
         object.__setattr__(self, "gamma", g)

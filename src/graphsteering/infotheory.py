@@ -15,61 +15,35 @@ if TYPE_CHECKING:  # schmidt imports this module
 EIG_CUTOFF = 1e-12  # below accumulated eigensolver noise
 
 
-def _check_prob_table(p, axes=None) -> np.ndarray:
-    """p as floats with round-off negatives clipped at 0; refuses a negative entry or a sum off 1.
-
-    With ``axes``, p is a stack of tables over those axes, and each table's
-    sum is checked.
-    """
+def _check_prob_table(p) -> np.ndarray:
+    """p as floats with round-off negatives clipped at 0; refuses a NaN, a negative entry or a sum off 1."""
     p = np.asarray(p, dtype=float)
-    if np.min(p) < -1e-12:
-        raise ValueError(f"probability table has a negative entry {np.min(p)} below -1e-12")
-    sums = np.asarray(p.sum(axis=axes))
-    off = np.abs(sums - 1.0) > 1e-10
-    if off.any():
-        raise ValueError(f"probability table sums to {sums[off][0]}")
+    if not (p >= -1e-12).all():  # written so that a NaN fails
+        raise ValueError(f"probability table has an entry {p[~(p >= -1e-12)][0]} that is NaN or below -1e-12")
+    total = p.sum()
+    if not abs(total - 1.0) <= 1e-10:
+        raise ValueError(f"probability table sums to {total}")
     return np.clip(p, 0.0, None)
 
 
-def _entropies(p: np.ndarray) -> np.ndarray:
-    """-sum p log2 p over the last axis of a checked, non-negative array, with 0*log0 = 0.
-
-    Each value is bitwise the one-table sum ``-np.sum(nz * np.log2(nz))``
-    over the row's positive entries ``nz``: rows positive everywhere are
-    summed together, C-ordered, and each row with a zero on its own.
-    """
-    rows = np.ascontiguousarray(p.reshape(-1, p.shape[-1]))
-    full = (rows > 0).all(axis=-1)
-    if full.all():
-        return -(rows * np.log2(rows)).sum(axis=-1).reshape(p.shape[:-1])
-    out = np.empty(len(rows))
-    dense = rows[full]
-    out[full] = -(dense * np.log2(dense)).sum(axis=-1)
-    for i in np.flatnonzero(~full):
-        nz = rows[i][rows[i] > 0]
-        out[i] = -np.sum(nz * np.log2(nz))
-    return out.reshape(p.shape[:-1])
+def _entropy(p: np.ndarray) -> float:
+    """-sum p log2 p over the positive entries of a checked, non-negative array, with 0*log0 = 0."""
+    nz = p[p > 0]
+    return float(-np.sum(nz * np.log2(nz)))
 
 
 def shannon_entropy(p) -> float:
     """-sum p log2 p with the 0*log0 = 0 convention."""
-    return float(_entropies(_check_prob_table(p).reshape(-1)))
+    return _entropy(_check_prob_table(p))
 
 
-def mutual_information(joint):
-    """I(A;B) = H(A) + H(B) - H(A,B) of a 2-D joint table, or of each table of a stack.
-
-    A stack holds its tables on the last two axes, and each table is checked
-    once.  One table gives a float; a stack gives an array over its leading
-    axes, bitwise the values its tables give one at a time.
-    """
+def mutual_information(joint) -> float:
+    """I(A;B) = H(A) + H(B) - H(A,B) of a 2-D joint table, checked once before its marginals are taken."""
     joint = np.asarray(joint, dtype=float)
-    if joint.ndim < 2:
-        raise ValueError("mutual_information expects a 2-D joint table or a stack of them")
-    joint = _check_prob_table(joint, axes=(-2, -1))
-    flat = joint.reshape(*joint.shape[:-2], -1)
-    mi = _entropies(joint.sum(axis=-1)) + _entropies(joint.sum(axis=-2)) - _entropies(flat)
-    return float(mi) if joint.ndim == 2 else mi
+    if joint.ndim != 2:
+        raise ValueError("mutual_information expects a 2-D joint table")
+    joint = _check_prob_table(joint)
+    return _entropy(joint.sum(axis=1)) + _entropy(joint.sum(axis=0)) - _entropy(joint)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -299,7 +299,7 @@ def estimate_rates(t: Transcript, d: int) -> RateEstimate:
     for m, total in enumerate(rounds, start=1):
         if total == 0:
             raise InsufficientData(f"no sifted rounds for setting m={m}")
-    i_hat = sum(mutual_information(counts / np.reshape(rounds, (2, 1, 1))).tolist())
+    i_hat = sum(mutual_information(table / total) for table, total in zip(counts, rounds))
     i_lower = i_hat - sum(np.log2(1.0 + (d * d - 1) / np.array(rounds)).tolist())
     threshold = float(np.log2(d))
     return RateEstimate(

@@ -194,16 +194,15 @@ def joint_distribution(
     return _check_prob_table(np.einsum("ijkl,aki,blj->ab", rho4, e_arr, f_arr).real)
 
 
-def mix_white_noise(table: np.ndarray, p) -> np.ndarray:
+def mix_white_noise(table: np.ndarray, p: float) -> np.ndarray:
     """Joint table of the state mixed with white noise at intensity p.
 
     Each side's effects are d projectors of equal trace (the forms are
     surjective), so the maximally mixed state contributes exactly 1/d^2 to
     every entry: P_p = (1-p) P + p / d^2, with d^2 the size of the last two
-    axes, so ``table`` may be a stack of tables and ``p`` an array that
-    broadcasts against it.
+    axes, so ``table`` may be a stack of tables, all mixed at the one p.
     """
-    if not np.all((0.0 <= p) & (p <= 1.0)):  # a NaN fails too
+    if not 0.0 <= p <= 1.0:  # a NaN fails too
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
     return (1.0 - p) * table + p / (table.shape[-2] * table.shape[-1])
 
@@ -266,13 +265,13 @@ def stabilizer_table(
 
     ``pairs`` lists (setting_a, setting_b); the result is their (k, d, d)
     stack, in that order.  Each table is the 2-D DFT of its
-    ``characteristic_table`` over d^2, with no state vector.  One DFT and
-    one ``infotheory._check_prob_table`` serve the whole stack, which clips
-    round-off entries near -1e-17 at 0; callers mix in white noise with
-    ``mix_white_noise``.  No command calls it: the commands read closed
-    forms (``cloner.pair_tables`` and the information of its matched
-    tables), and this is ``verify``'s proof of them at scale and the tests'
-    oracle.
+    ``characteristic_table`` over d^2, with no state vector.  One DFT serves
+    the whole stack, and ``infotheory._check_prob_table`` checks each table
+    and clips its round-off entries near -1e-17 at 0; callers mix in white
+    noise, at one float p, with ``mix_white_noise``.  No command calls it:
+    the commands read closed forms (``cloner.pair_tables`` and the
+    information of its matched tables), and this is ``verify``'s proof of
+    them at scale and the tests' oracle.
     """
     chi = np.stack([characteristic_table(g, d, sa, sb, part) for sa, sb in pairs])
-    return _check_prob_table(np.fft.fft2(chi).real / d ** 2, axes=(-2, -1))
+    return np.stack([_check_prob_table(table) for table in np.fft.fft2(chi).real / d ** 2])

@@ -17,11 +17,8 @@ from .schmidt import derive_setting
 
 # Strict steering inequality: require the margin to clear floating-point noise.
 STEERING_MARGIN = 1e-10
-# Bracket widths at which the bisections for p_noise and D_c stop.
-NOISE_THRESHOLD_TOL = 1e-8
+# Bracket width at which the bisection for D_c stops.
 CRITICAL_DISTURBANCE_TOL = 1e-9
-# p values a key_rate_scan chunk evaluates at once, so its temporaries stay small.
-SCAN_CHUNK_P = 4096
 
 
 @dataclass(frozen=True)
@@ -117,16 +114,12 @@ def _bisect(f, lo: float, hi: float, tol: float) -> float:
 def critical_noise(d: int) -> float:
     """Noise intensity where the certified total information of a cut hits log2(d).
 
-    Bisection on p; below the returned value the noisy state is certified
-    steerable.  The excess is log2 d at p = 0 and -log2 d at p = 1, so
-    [0, 1] brackets the root for every d >= 2.
+    White noise p reaches each matched setting as the disturbance
+    D = p(d-1)/d, so the total 2(log2 d - H(D)) hits log2 d where H(D) =
+    log2(d)/2: at ``critical_disturbance(d)``.  Below the returned value the
+    noisy state is certified steerable.
     """
-
-    def excess(p: float) -> float:
-        threshold, i_m = _matched_information(d, p)
-        return (i_m + i_m) - threshold
-
-    return _bisect(excess, 0.0, 1.0, NOISE_THRESHOLD_TOL)
+    return critical_disturbance(d) * d / (d - 1)
 
 
 def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
@@ -167,18 +160,15 @@ def key_rate_curve(d: int, p_grid) -> np.ndarray:
     """Rows (p, i_total, r_lower) of a cut over a noise grid, each p checked once to lie in [0, 1].
 
     r_lower is the Devetak-Winter style bound max(0, i_total - log2 d).  The
-    rows form an (n, 3) array, filled ``SCAN_CHUNK_P`` p values at a time;
-    each row is bitwise ``steering_statistic`` at its p.
+    rows form an (n, 3) array, evaluated in one pass, so a caller bounds its
+    temporaries by the grid it passes; each row is bitwise
+    ``steering_statistic`` at its p.
     """
-    p_grid = np.asarray(p_grid, dtype=float).reshape(-1)
-    rows = np.empty((len(p_grid), 3))
-    for start in range(0, len(p_grid), SCAN_CHUNK_P):
-        p = p_grid[start:start + SCAN_CHUNK_P]
-        threshold, i_m = _matched_information(d, p)
-        i_total = i_m + i_m
-        excess = i_total - threshold
-        rows[start:start + SCAN_CHUNK_P] = np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
-    return rows
+    p = np.asarray(p_grid, dtype=float).reshape(-1)
+    threshold, i_m = _matched_information(d, p)
+    i_total = i_m + i_m
+    excess = i_total - threshold
+    return np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
 
 
 def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:

@@ -62,7 +62,7 @@ def check_ideal_correlations():
         assert np.max(np.abs(stack - protocol_tables)) < 1e-10, f"N={g.n_vertices}, d={d}: protocol tables"
         tables = stack[[0, 3]]  # the matched pairs (1, 1) and (2, 2)
         assert np.max(np.abs(tables - np.eye(d) / d)) < 1e-10
-        i_total = mutual_information(tables).sum()
+        i_total = sum(mutual_information(table) for table in tables)
         assert abs(i_total - 2 * np.log2(d)) < 1e-9, f"N={g.n_vertices}, d={d}: i_total {i_total}"
 
 
@@ -95,11 +95,12 @@ def check_critical_disturbance():
 
 
 def check_noise_threshold():
-    p_noise = {d: critical_noise(d) for d in (2, 3)}
+    """fig5's p_noise is where certify's closed form stops giving a key rate: r_lower > 0 just below it, 0 just above."""
+    p_noise = {d: critical_noise(d) for d in (2, 3, 1448)}
     assert abs(p_noise[2] - 0.22) < 1e-3, f"p_noise(2) = {p_noise[2]}"
     for d, p in p_noise.items():
-        dc = critical_disturbance(d)
-        assert abs(p * (d - 1) / d - dc) < 1e-6, f"d={d}: p={p}, D_c={dc}"
+        (_, _, below), (_, _, above) = key_rate_curve(d, [p - 1e-6, p + 1e-6])
+        assert below > 0.0 and above == 0.0, f"d={d}: r_lower {below} below p_noise={p}, {above} above"
 
 
 def check_key_rate_row():
@@ -107,7 +108,7 @@ def check_key_rate_row():
     for d, p in ((2, 0.1), (1448, 0.3)):
         [(_, i_total, _)] = key_rate_curve(d, [p])
         tables = mix_white_noise(pair_tables(phase_covariant_gamma(0.0, d))[[0, 3]], p)
-        i_tables = mutual_information(tables).sum()
+        i_tables = sum(mutual_information(table) for table in tables)
         assert abs(i_total - i_tables) < 1e-9, f"d={d}, p={p}: i_total {i_total}, tables {i_tables}"
 
 

@@ -639,12 +639,19 @@ class TestQss:
         assert res.exit_code == 2
         assert res.stderr.startswith("error: --rounds")
 
-    def test_measured_peak_per_round_within_bound(self, tmp_path):
-        # the peak-RSS slope of `qss --out` between two round counts
+    @pytest.mark.parametrize("graph", [None, '{"n":3,"d":257,"edges":[[1,2],[1,3]]}'], ids=["d2", "d257"])
+    def test_measured_peak_per_round_within_bound(self, tmp_path, graph):
+        # the peak-RSS slope of `qss --out` between two round counts, on the default star(3) at d=2
+        # and on star(3) at d=257, whose outcomes take two bytes
+        args = []
+        if graph is not None:
+            path = tmp_path / "star3.json"
+            path.write_text(graph)
+            args = ["--graph-file", str(path)]
         rss = {}
         for rounds in (2 ** 18, 2 ** 20):
             out = tmp_path / f"{rounds}.jsonl"
-            proc = run_child(["qss", "--p", "0.05", "--rounds", str(rounds), "--out", str(out)])
+            proc = run_child(["qss", *args, "--p", "0.05", "--rounds", str(rounds), "--out", str(out)])
             assert proc.returncode == 0, proc.stderr
             rss[rounds] = peaks(proc)[0]
             out.unlink()

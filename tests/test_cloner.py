@@ -242,6 +242,14 @@ class TestGammaValidation:
         with pytest.raises(ValueError):
             GammaDistribution(np.full((2, 3), 1 / 6))
 
+    @pytest.mark.parametrize("table", [
+        [[np.nan, 0.5], [0.25, 0.25]],
+        [[np.nan, np.nan], [np.nan, np.nan]],
+    ])
+    def test_nan_entry(self, table):
+        with pytest.raises(ValueError, match="NaN"):
+            GammaDistribution(np.array(table))
+
     def test_dirichlet_deterministic(self):
         a = dirichlet_gamma(3, np.random.default_rng(5)).gamma
         b = dirichlet_gamma(3, np.random.default_rng(5)).gamma
