@@ -68,6 +68,8 @@ from .cloner import (
     measured_joint,
     conditional_ensemble,
     no_sharing_sum,
+    clone_gamma,
+    shared_information,
     phase_covariant_gamma,
     dirichlet_gamma,
 )

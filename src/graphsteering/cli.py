@@ -18,10 +18,9 @@ import click
 import numpy as np
 
 from . import __version__
-from .cloner import dirichlet_gamma, no_sharing_sum
+from .cloner import dirichlet_gamma, shared_information
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
 from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_protocol
-from .registers import MAX_STATE_BYTES
 from .schmidt import NoCorrelationForm
 from .steering import (
     critical_disturbance,
@@ -35,6 +34,11 @@ from . import verify as verify_mod
 EXIT_INVARIANT = 1
 EXIT_VALIDATION = 2
 EXIT_DERIVATION = 3
+
+# Memory that one option value may need; a command refuses more with exit 2.
+# The same 2^28 bytes as the dense registers' guard, kept here so that no
+# command imports the dense layer.
+MEMORY_LIMIT_BYTES = 2 ** 28
 
 # Peak memory per unit of a command-line size, measured as the ru_maxrss slope
 # (2-CPU x86-64 Linux, numpy 2) and rounded up: `qss --out` grew by 12 bytes a
@@ -53,6 +57,10 @@ TABLE_BYTES_PER_ENTRY = 64
 # --partition 1` at d=3 rounded up: 347-358 bytes between stars of 10^5 to 4*10^5
 # vertices, 304 between such chains, 281 between 316^2 and 632^2 grids (359 MB).
 GRAPH_BYTES_PER_ELEMENT = 512
+# Peak memory per entry of a `nosharing` sample's d x d attack table, rounded up
+# from the peak-RSS slope on the same machine: 50.4 bytes an entry from d=1024
+# to 2048, for the Dirichlet draw, its square root and the clone's two complex FFTs.
+NOSHARING_BYTES_PER_ENTRY = 64
 # Output rows computed, formatted and written at a time by `fig4`.
 CSV_CHUNK_ROWS = 4096
 
@@ -106,14 +114,8 @@ def _csv_document(manifest: dict, header: list, rows: list) -> str:
     buf.write("# manifest: " + json.dumps(manifest, sort_keys=True) + "\n")
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(_csv_cell(x) for x in row) + "\n")
+        buf.write(",".join(map(str, row)) + "\n")
     return buf.getvalue()
-
-
-def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _refuse(reason: str, code: int = EXIT_VALIDATION):
@@ -122,11 +124,11 @@ def _refuse(reason: str, code: int = EXIT_VALIDATION):
 
 
 def _bound(option: str, value: int, n_bytes: int) -> None:
-    """Refuse an option value that needs more than MAX_STATE_BYTES (``n_bytes``) of memory."""
-    if n_bytes > MAX_STATE_BYTES:
+    """Refuse an option value that needs more than MEMORY_LIMIT_BYTES (``n_bytes``) of memory."""
+    if n_bytes > MEMORY_LIMIT_BYTES:
         _refuse(
             f"{option} {value} needs about {n_bytes} bytes, "
-            f"over the {MAX_STATE_BYTES}-byte limit"
+            f"over the {MEMORY_LIMIT_BYTES}-byte limit"
         )
 
 
@@ -213,16 +215,8 @@ def certify(graph_file, partition, p, fmt, out):
     manifest = _manifest(
         "certify", {"graph_file": graph_file, "partition": list(part.a_vertices), "p": p}
     )
-    payload = {
-        "i_per_setting": list(report.i_per_setting),
-        "i_total": report.i_total,
-        "threshold": report.threshold,
-        "steerable": report.steerable,
-        "margin": report.margin,
-        "manifest": manifest,
-    }
     if fmt == "json":
-        _emit([json.dumps(payload, indent=2) + "\n"], out)
+        _emit([json.dumps({**vars(report), "manifest": manifest}, indent=2) + "\n"], out)
     else:
         header = ["i_setting_1", "i_setting_2", "i_total", "threshold", "steerable", "margin"]
         row = (
@@ -286,28 +280,28 @@ def dc(d_list, out):
 def nosharing(d, samples, seed, out):
     """Monte-Carlo check of the no-sharing inequality over random attacks.
 
-    max_total adds the A-B information to the Holevo-chain bound on the A-C
-    information, which sum to exactly 2 log2 d for every attack, so
-    violations cannot fire until the A-C information is computed on its own.
+    Each attack leaves A with two-setting information I_AB about B and I_AC
+    about the clone C.  max_total is the largest I_AB + I_AC, within bound =
+    2 log2 d, and violations counts the attacks under which both exceed
+    log2 d, so that B and C would both steer; any violation exits 1.
     """
     if d < 2 or samples < 1:
         _refuse("bad ranges")
     _check_seed(seed)
     _check_width("--d", d)
-    _bound("--d", d, 8 * d * d)  # each sample's float64 d x d gamma table
+    _bound("--d", d, NOSHARING_BYTES_PER_ENTRY * d * d)
     rng = np.random.default_rng(seed)
-    bound = 2 * float(np.log2(d))
+    log_d = float(np.log2(d))
     max_total = 0.0
     violations = 0
     for _ in range(samples):
-        _, _, total = no_sharing_sum(dirichlet_gamma(d, rng))
-        max_total = max(max_total, total)
-        if total > bound + 1e-9:
-            violations += 1
+        i_ab, i_ac = shared_information(dirichlet_gamma(d, rng))
+        max_total = max(max_total, i_ab + i_ac)
+        violations += min(i_ab, i_ac) > log_d + 1e-9
     payload = {
         "samples": samples,
         "max_total": max_total,
-        "bound": bound,
+        "bound": 2 * log_d,
         "violations": violations,
         "manifest": _manifest("nosharing", {"d": d, "samples": samples}, seed=seed),
     }
@@ -350,25 +344,18 @@ def qss(graph_file, partition, p, disturbance, rounds, seed, out):
     est = estimate_rates(transcript, d)
     if out:
         _atomic_write(out, transcript.to_jsonl)
-    payload = {
-        "i_hat_total": est.i_hat_total,
-        "i_lower_total": est.i_lower_total,
-        "r_hat_lower": est.r_hat_lower,
-        "sifted_rounds": list(est.sifted_rounds),
-        "steerable_hat": est.steerable_hat,
-        "manifest": _manifest(
-            "qss",
-            {
-                "graph_file": graph_file,
-                "partition": list(part.a_vertices),
-                "p": p,
-                "disturbance": disturbance,
-                "rounds": rounds,
-            },
-            seed=seed,
-        ),
-    }
-    _write(json.dumps(payload, indent=2) + "\n")
+    manifest = _manifest(
+        "qss",
+        {
+            "graph_file": graph_file,
+            "partition": list(part.a_vertices),
+            "p": p,
+            "disturbance": disturbance,
+            "rounds": rounds,
+        },
+        seed=seed,
+    )
+    _write(json.dumps({**vars(est), "manifest": manifest}, indent=2) + "\n")
 
 
 @main.command()

@@ -5,8 +5,11 @@ clone pair C, C') via a d x d probability table over generalized Bell states.
 ``qss`` reads only the formula-level quantities: the marginals q_m of the
 table and the Bell-diagonal joint tables of ``pair_tables``, which at
 disturbance 0 are the graph state's own tables and the oracle of the
-information ``steering`` reads in closed form.  The explicit d**4 state is
-their oracle, which the tests and acceptance criteria measure directly.
+information ``steering`` reads in closed form.  The A-C pair is
+Bell-diagonal too, with the weights of ``clone_gamma``, so ``nosharing``
+and ``verify`` read the clone's information by the same closed form as
+B's.  The explicit d**4 state is their oracle, which the tests and
+acceptance criteria measure directly.
 
 Index convention: the clone-pair Bell index is taken as (d-k) mod d, which
 makes the formula-level marginals agree with direct measurement of the
@@ -127,6 +130,25 @@ def mutual_info_ab(g: GammaDistribution, m: int) -> float:
     """Closed form log2(d) + sum_t q_m^t log2 q_m^t for the A-B reduced state."""
     q = q_marginals(g, m)
     return float(np.log2(g.d) - shannon_entropy(q))
+
+
+def clone_gamma(g: GammaDistribution) -> GammaDistribution:
+    """Bell weights |b|^2 of the A-C pair, b[x, y] = (1/d) sum_jk omega^(xk - yj) sqrt(gamma_jk).
+
+    The cloner's state is Bell-diagonal on A-C too (Cerf, J. Mod. Opt. 47,
+    187 (2000)), with b a two-dimensional DFT of sqrt(gamma), in O(d^2 log d).
+    Setting m of A and C then reads ``mutual_info_ab(clone_gamma(g), m)``.
+    """
+    b = np.fft.fft(np.fft.ifft(np.sqrt(g.gamma), axis=1), axis=0).T
+    return GammaDistribution(b.real ** 2 + b.imag ** 2)
+
+
+def shared_information(g: GammaDistribution):
+    """(I_AB, I_AC): the two-setting information A shares with B, and with the clone C.
+
+    The paper's no-sharing claim is that they never both exceed log2(d).
+    """
+    return tuple(mutual_info_ab(x, 1) + mutual_info_ab(x, 2) for x in (g, clone_gamma(g)))
 
 
 def _in_bases(output: PureState, ma: int, mb: int) -> np.ndarray:

@@ -49,19 +49,20 @@ def derive_both_settings(g: Graph, d: int, part: Bipartition):
     return tuple(derive_setting(g, d, coloring, part, m) for m in (1, 2))
 
 
-def _entropy(D, log_q, log_stay):
-    """H(D) from log2(D / (d-1)) and log2(1-D), for floats or elementwise over arrays."""
-    return (0.0 - D * log_q) - (1.0 - D) * log_stay
+def _log_terms(d: int, D):
+    """(log2 d, H(D)), with H(D) = -(1-D) log2(1-D) - D log2(D / (d-1)).
 
-
-def _float_terms(d: int, D: float):
-    """(log2 d, H(D)) for a float D, in float arithmetic around one np.log2 call.
-
-    A 0 log 0 term, or one whose D / (d-1) underflows to 0, is read as 0 log 1.
+    A float D is evaluated in float arithmetic around one np.log2 call, an
+    array elementwise with the same bits.  A 0 log 0 term, or one whose
+    D / (d-1) underflows to 0, is read as 0 log 1.
     """
     q = D / (d - 1)
-    log_d, log_q, log_stay = np.log2([d, q if q > 0.0 else 1.0, 1.0 - D if D < 1.0 else 1.0]).tolist()
-    return log_d, _entropy(D, log_q, log_stay)
+    if isinstance(D, float):
+        log_d, log_q, log_stay = np.log2([d, q if q > 0.0 else 1.0, 1.0 - D if D < 1.0 else 1.0]).tolist()
+    else:
+        log_d = float(np.log2(d))
+        log_q, log_stay = np.log2(np.where(0.0 < q, q, 1.0)), np.log2(np.where(D < 1.0, 1.0 - D, 1.0))
+    return log_d, (0.0 - D * log_q) - (1.0 - D) * log_stay
 
 
 def _matched_information(d: int, p):
@@ -69,13 +70,10 @@ def _matched_information(d: int, p):
 
     Its marginals are uniform.  A float p gives floats; an array p gives I elementwise.
     """
-    if isinstance(p, float) and 0.0 <= p <= 1.0:
-        log_d, h = _float_terms(d, p * (d - 1) / d)
-        return log_d, log_d - h
-    if not np.all((0.0 <= p) & (p <= 1.0)):  # a NaN fails too
+    if not (isinstance(p, float) and 0.0 <= p <= 1.0 or np.all((0.0 <= p) & (p <= 1.0))):  # a NaN fails too
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
-    log_d = np.log2(d)
-    return float(log_d), log_d - disturbance_entropy(p * (d - 1) / d, d)
+    log_d, h = _log_terms(d, p * (d - 1) / d)
+    return log_d, log_d - h
 
 
 def steering_statistic(
@@ -135,12 +133,11 @@ def disturbance_entropy(D, d: int):
     a float, as does any other scalar.
     """
     if isinstance(D, float) and 0.0 <= D <= 1.0:
-        return _float_terms(d, D)[1]
+        return _log_terms(d, D)[1]
     D = np.asarray(D, dtype=float)
     if not np.all((0.0 <= D) & (D <= 1.0)):
         raise ValueError(f"disturbance must be in [0, 1], got {D}")
-    q = D / (d - 1)  # a 0 log 0 term, or one whose D / (d-1) underflows to 0, is read as 0 log 1
-    out = _entropy(D, np.log2(np.where(0.0 < q, q, 1.0)), np.log2(np.where(D < 1.0, 1.0 - D, 1.0)))
+    out = _log_terms(d, D)[1]
     return float(out) if out.ndim == 0 else out
 
 

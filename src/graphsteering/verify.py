@@ -27,11 +27,10 @@ from . import (
     make_grid,
     make_star,
     mutual_information,
-    no_sharing_sum,
     phase_covariant_gamma,
     stabilizer_table,
 )
-from .cloner import pair_tables
+from .cloner import pair_tables, shared_information
 from .protocol import setting_pair_tables
 from .schmidt import mix_white_noise
 from .steering import critical_noise, key_rate_curve
@@ -75,16 +74,18 @@ def check_mutual_information_bounds():
 
 
 def check_no_sharing():
-    """The A-B information plus the Holevo-chain bound on the A-C information stays within 2 log2 d.
+    """B and the clone C never both steer: I_AB and I_AC are not both above log2 d.
 
-    That sum is exactly 2 log2 d for every attack, so this check cannot fail
-    until the A-C information is computed on its own.
+    Over random attacks, and at the phase-covariant attack's D* = (1 - 1/sqrt d)/2,
+    where the two are equal and below log2 d, so that neither copy steers.
     """
     rng = np.random.default_rng(41)
     for d in (2, 3, 5):
         for _ in range(100):
-            _, _, total = no_sharing_sum(dirichlet_gamma(d, rng))
-            assert total <= 2 * np.log2(d) + 1e-9
+            i_ab, i_ac = shared_information(dirichlet_gamma(d, rng))
+            assert min(i_ab, i_ac) <= np.log2(d) + 1e-9, f"d={d}: I_AB {i_ab}, I_AC {i_ac}"
+        i_ab, i_ac = shared_information(phase_covariant_gamma((1 - 1 / np.sqrt(d)) / 2, d))
+        assert abs(i_ab - i_ac) < 1e-12 and i_ab < np.log2(d), f"d={d}: I_AB {i_ab}, I_AC {i_ac} at D*"
 
 
 def check_critical_disturbance():

@@ -6,7 +6,8 @@ one table at a time through the DFT, the entropies and the key-rate scan
 (from eye/d, or from given tables), the edge-scanning two-coloring, the
 settings' generator found from the edge list, the per-record transcript
 writer, the ``Generator.choice`` sampler and masked counts of the protocol
-simulation, and the partial trace of a density operator.
+simulation, the partial trace of a density operator, and register C of the
+cloner's dense state measured as register B is.
 """
 
 import json
@@ -15,8 +16,9 @@ from collections import deque
 import numpy as np
 
 from graphsteering import protocol
+from graphsteering.cloner import measured_joint
 from graphsteering.graphs import NotTwoColorable, TwoColoring, _odd_cycle
-from graphsteering.registers import DensityOperator, QuditRegister
+from graphsteering.registers import DensityOperator, PureState, QuditRegister
 from graphsteering.schmidt import FOURIER, NoCorrelationForm, _surjective, mix_white_noise
 from graphsteering.steering import derive_both_settings
 
@@ -258,3 +260,13 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     reduced = np.einsum(tensor, subscripts, out)
     dim_keep = d ** len(keep)
     return DensityOperator(QuditRegister(len(keep), d), reduced.reshape(dim_keep, dim_keep))
+
+
+def clone_joint(output, m: int) -> np.ndarray:
+    """Joint outcome table of registers A and C of the cloner's (A, B, C, C') state, both in Schmidt basis m.
+
+    Registers B and C are swapped, and C is measured as ``cloner.measured_joint`` measures B.
+    """
+    d = output.register.local_dim
+    swapped = output.amplitudes.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(-1)
+    return measured_joint(PureState(output.register, swapped), m, m)

@@ -16,15 +16,24 @@ import pytest
 from click.testing import CliRunner
 
 import oracle
-from graphsteering import Bipartition, cli, graphstate, make_star, noise_threshold
+from graphsteering import (
+    Bipartition,
+    cli,
+    dirichlet_gamma,
+    graphstate,
+    make_star,
+    noise_threshold,
+    shared_information,
+)
 from graphsteering.cli import (
     FIG4_BYTES_PER_ROW,
     GRAPH_BYTES_PER_ELEMENT,
+    MEMORY_LIMIT_BYTES,
+    NOSHARING_BYTES_PER_ENTRY,
     QSS_BYTES_PER_ROUND,
     TABLE_BYTES_PER_ENTRY,
     main,
 )
-from graphsteering.registers import MAX_STATE_BYTES
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -243,6 +252,20 @@ class TestCertify:
         assert len(rows) == 1
         assert abs(float(rows[0][2]) - 2.0) < 1e-9
 
+    def test_json_keys_in_report_order(self, runner, star3_file):
+        res = runner.invoke(main, ["certify", star3_file])
+        assert list(json.loads(res.output)) == [
+            "i_per_setting", "i_total", "threshold", "steerable", "margin", "manifest",
+        ]
+
+    @pytest.mark.parametrize("p, row", [
+        ("0", "1.0,1.0,2.0,1.0,True,1.0"),
+        ("1", "0.0,0.0,0.0,1.0,False,-1.0"),
+    ])
+    def test_csv_row_text(self, runner, star3_file, p, row):
+        res = runner.invoke(main, ["certify", star3_file, "--p", p, "--format", "csv"])
+        assert res.output.splitlines()[2] == row
+
     def test_out_file_written_atomically(self, runner, star3_file, tmp_path):
         out = tmp_path / "report.json"
         res = runner.invoke(main, ["certify", star3_file, "--out", str(out)])
@@ -423,10 +446,10 @@ class TestFig4:
 
     @pytest.mark.parametrize("d_list", ["2", "2,3,5"])
     def test_steps_bound_at_boundary(self, runner, monkeypatch, d_list):
-        # steps x dimensions output rows, FIG4_BYTES_PER_ROW each, fit in MAX_STATE_BYTES
+        # steps x dimensions output rows, FIG4_BYTES_PER_ROW each, fit in MEMORY_LIMIT_BYTES
         monkeypatch.setattr(cli, "key_rate_curve", reached)
         dims = len(d_list.split(","))
-        largest = MAX_STATE_BYTES // (FIG4_BYTES_PER_ROW * dims)
+        largest = MEMORY_LIMIT_BYTES // (FIG4_BYTES_PER_ROW * dims)
         res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest)])
         assert isinstance(res.exception, Reached)
         res = runner.invoke(main, ["fig4", "--d", d_list, "--steps", str(largest + 1)])
@@ -503,6 +526,20 @@ class TestNoSharing:
         assert payload["max_total"] <= 2 * np.log2(3) + 1e-9
         assert payload["manifest"]["seed"] == 42
 
+    def test_max_total_is_the_largest_shared_information(self, runner):
+        res = runner.invoke(main, ["nosharing", "--d", "2", "--samples", "200", "--seed", "5"])
+        rng = np.random.default_rng(5)
+        totals = [sum(shared_information(dirichlet_gamma(2, rng))) for _ in range(200)]
+        payload = json.loads(res.output)
+        assert payload["max_total"] == max(totals) < payload["bound"] - 0.01
+
+    @pytest.mark.parametrize("informations, violations, code", [((1.5, 1.5), 3, 1), ((1.5, 0.4), 0, 0)])
+    def test_violation_needs_both_copies_to_steer(self, runner, monkeypatch, informations, violations, code):
+        monkeypatch.setattr(cli, "shared_information", lambda g: informations)
+        res = runner.invoke(main, ["nosharing", "--d", "2", "--samples", "3"])
+        assert res.exit_code == code
+        assert json.loads(res.output)["violations"] == violations
+
     def test_reproducible_payload(self, runner):
         args = ["nosharing", "--d", "2", "--samples", "50", "--seed", "7"]
         a = json.loads(runner.invoke(main, args).output)
@@ -560,6 +597,12 @@ class TestQss:
         b = json.loads(runner.invoke(main, args).output)
         assert a["i_hat_total"] == b["i_hat_total"]
         assert a["sifted_rounds"] == b["sifted_rounds"]
+
+    def test_json_keys_in_estimate_order(self, runner):
+        res = runner.invoke(main, ["qss", "--rounds", "2000"])
+        assert list(json.loads(res.output)) == [
+            "i_hat_total", "i_lower_total", "r_hat_lower", "sifted_rounds", "steerable_hat", "manifest",
+        ]
 
     def test_bad_disturbance_exit_2(self, runner):
         res = runner.invoke(main, ["qss", "--disturbance", "0.9"])
@@ -632,7 +675,7 @@ class TestQss:
 
     def test_rounds_bound_at_boundary(self, runner, monkeypatch):
         monkeypatch.setattr(cli, "run_protocol", reached)
-        largest = MAX_STATE_BYTES // QSS_BYTES_PER_ROUND
+        largest = MEMORY_LIMIT_BYTES // QSS_BYTES_PER_ROUND
         res = runner.invoke(main, ["qss", "--rounds", str(largest)])
         assert isinstance(res.exception, Reached)
         res = runner.invoke(main, ["qss", "--rounds", str(largest + 1)])
@@ -728,12 +771,15 @@ TABLE_COMMANDS = [("qss", 4)]
 
 
 def largest_table_d(tables):
-    """The largest d whose ``tables`` joint tables, TABLE_BYTES_PER_ENTRY an entry, fit in MAX_STATE_BYTES."""
-    return math.isqrt(MAX_STATE_BYTES // (TABLE_BYTES_PER_ENTRY * tables))
+    """The largest d whose ``tables`` joint tables, TABLE_BYTES_PER_ENTRY an entry, fit in MEMORY_LIMIT_BYTES."""
+    return math.isqrt(MEMORY_LIMIT_BYTES // (TABLE_BYTES_PER_ENTRY * tables))
 
 
-# The largest star whose n + |E| = 2n - 1 elements, GRAPH_BYTES_PER_ELEMENT each, fit in MAX_STATE_BYTES.
-LARGEST_STAR = (MAX_STATE_BYTES // GRAPH_BYTES_PER_ELEMENT + 1) // 2
+# The largest d whose attack table, NOSHARING_BYTES_PER_ENTRY an entry, fits in MEMORY_LIMIT_BYTES.
+LARGEST_NOSHARING_D = math.isqrt(MEMORY_LIMIT_BYTES // NOSHARING_BYTES_PER_ENTRY)
+
+# The largest star whose n + |E| = 2n - 1 elements, GRAPH_BYTES_PER_ELEMENT each, fit in MEMORY_LIMIT_BYTES.
+LARGEST_STAR = (MEMORY_LIMIT_BYTES // GRAPH_BYTES_PER_ELEMENT + 1) // 2
 
 
 def star_command(command, n, directory):
@@ -755,51 +801,65 @@ def table_command(command, d, directory):
 
 
 class TestLargestAcceptedSizes:
-    """The largest size each bound accepts runs in MAX_STATE_BYTES of address space over a small run's."""
+    """The largest size each bound accepts runs in MEMORY_LIMIT_BYTES of address space over a small run's."""
 
     @pytest.fixture(scope="class")
     def baseline(self):
         return peaks(run_child(["fig4", "--d", "2", "--steps", "1"]))[1]
 
-    LARGEST_QSS = ["qss", "--rounds", str(MAX_STATE_BYTES // QSS_BYTES_PER_ROUND)]
-    LARGEST_FIG4 = ["fig4", "--d", "2", "--steps", str(MAX_STATE_BYTES // FIG4_BYTES_PER_ROW)]
+    LARGEST_QSS = ["qss", "--rounds", str(MEMORY_LIMIT_BYTES // QSS_BYTES_PER_ROUND)]
+    LARGEST_FIG4 = ["fig4", "--d", "2", "--steps", str(MEMORY_LIMIT_BYTES // FIG4_BYTES_PER_ROW)]
 
     def test_largest_qss_rounds(self, baseline):
-        proc = run_child(self.LARGEST_QSS, baseline + MAX_STATE_BYTES)
+        proc = run_child(self.LARGEST_QSS, baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     def test_largest_fig4_steps(self, baseline):
         # about 5.6 million rows: 12-21 s on a 2-CPU VM, nearly all of it float formatting
-        proc = run_child(self.LARGEST_FIG4, baseline + MAX_STATE_BYTES)
+        proc = run_child(self.LARGEST_FIG4, baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     def test_limit_binds(self, baseline):
-        # the largest qss run needs about half of MAX_STATE_BYTES, so a quarter stops it
-        proc = run_child(self.LARGEST_QSS, baseline + MAX_STATE_BYTES // 4)
+        # the largest qss run needs about half of MEMORY_LIMIT_BYTES, so a quarter stops it
+        proc = run_child(self.LARGEST_QSS, baseline + MEMORY_LIMIT_BYTES // 4)
         assert proc.returncode != 0
 
     @pytest.mark.parametrize("command, tables", TABLE_COMMANDS)
     def test_largest_table_dimension(self, baseline, tmp_path, command, tables):
         # d = 1024 for qss's four tables; about 1 s
         d = largest_table_d(tables)
-        proc = run_child(table_command(command, d, tmp_path), baseline + MAX_STATE_BYTES)
+        proc = run_child(table_command(command, d, tmp_path), baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("command", ["certify", "fig4", "fig5"])
     def test_widest_dimension(self, baseline, tmp_path, command):
         # the closed form takes any d below 2**64 in a small run's memory
-        proc = run_child(table_command(command, 2 ** 64 - 1, tmp_path), baseline + MAX_STATE_BYTES)
+        proc = run_child(table_command(command, 2 ** 64 - 1, tmp_path), baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     def test_largest_attacked_qss_dimension(self, baseline, tmp_path):
         # the cloning attack's tables are closed forms of O(d^2) too: about 0.5 s at d = 1024
         d = largest_table_d(4)
-        proc = run_child(table_command("qss", d, tmp_path) + ["--disturbance", "0.1"], baseline + MAX_STATE_BYTES)
+        proc = run_child(table_command("qss", d, tmp_path) + ["--disturbance", "0.1"], baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
+
+    def test_largest_nosharing_dimension(self, baseline):
+        # d = 2048: a Dirichlet draw and the clone's two FFTs a sample, about 1 s for two
+        proc = run_child(["nosharing", "--d", str(LARGEST_NOSHARING_D), "--samples", "2"], baseline + MEMORY_LIMIT_BYTES)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_nosharing_bound_at_boundary(self, runner, monkeypatch):
+        # the next d is refused before any attack is drawn
+        monkeypatch.setattr(cli, "dirichlet_gamma", reached)
+        res = runner.invoke(main, ["nosharing", "--d", str(LARGEST_NOSHARING_D), "--samples", "1"])
+        assert isinstance(res.exception, Reached)
+        res = runner.invoke(main, ["nosharing", "--d", str(LARGEST_NOSHARING_D + 1), "--samples", "1"])
+        assert res.exit_code == 2
+        assert res.stderr.startswith(f"error: --d {LARGEST_NOSHARING_D + 1} needs")
 
     def test_largest_star(self, baseline, tmp_path):
         # star(262144) at d=2: about 3 s on a 2-CPU VM
-        proc = run_child(star_command("certify", LARGEST_STAR, tmp_path), baseline + MAX_STATE_BYTES)
+        proc = run_child(star_command("certify", LARGEST_STAR, tmp_path), baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("command", ["certify", "qss"])

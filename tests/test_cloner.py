@@ -4,6 +4,7 @@ import pytest
 from graphsteering import (
     GammaDistribution,
     bell_state,
+    clone_gamma,
     cloner_output,
     conditional_ensemble,
     dirichlet_gamma,
@@ -16,8 +17,11 @@ from graphsteering import (
     phase_covariant_gamma,
     q_marginals,
     shannon_entropy,
+    shared_information,
 )
-from oracle import partial_trace
+from graphsteering.cloner import pair_tables
+from graphsteering.steering import _bisect
+from oracle import clone_joint, partial_trace
 
 
 def identity_gamma(d):
@@ -196,6 +200,56 @@ class TestNoSharing:
         uniform = GammaDistribution(np.full((d, d), 1 / d ** 2))
         sum_ab, sum_ac, _ = no_sharing_sum(uniform)
         assert abs(sum_ab) < 1e-12 and abs(sum_ac - 2.0) < 1e-12
+
+
+class TestCloneInformation:
+    """The clone's own information I_AC, against register C of the dense state, where it can fail."""
+
+    def test_matches_dense_register_c(self):
+        # per setting: a C read in the other setting's weights moves each I_AC,m, not their sum
+        rng = np.random.default_rng(303)
+        for d in (2, 3, 5):
+            for _ in range(50):
+                g = dirichlet_gamma(d, rng)
+                out = cloner_output(g)
+                clone = clone_gamma(g)
+                tables = pair_tables(clone)
+                for m, matched in ((1, 0), (2, 3)):
+                    table = clone_joint(out, m)
+                    np.testing.assert_allclose(table, tables[matched], rtol=0, atol=1e-12)
+                    assert abs(mutual_information(table) - mutual_info_ab(clone, m)) < 1e-12
+
+    def test_no_attack_leaves_the_clone_nothing(self):
+        for d in (2, 3, 5):
+            i_ab, i_ac = shared_information(identity_gamma(d))
+            assert abs(i_ab - 2 * np.log2(d)) < 1e-12 and abs(i_ac) < 1e-12
+
+    def test_strictly_below_the_holevo_chain_bound(self):
+        # the Holevo-chain bound would make every total exactly 2 log2 d
+        rng = np.random.default_rng(0)
+        for d in (2, 3, 5):
+            for _ in range(200):
+                g = dirichlet_gamma(d, rng)
+                i_ab, i_ac = shared_information(g)
+                _, sum_ac_bound, _ = no_sharing_sum(g)
+                assert i_ac <= sum_ac_bound + 1e-12
+                assert i_ab + i_ac < 2 * np.log2(d) - 0.01
+                assert min(i_ab, i_ac) < np.log2(d)
+
+    @pytest.mark.parametrize("d, d_c_prime", [(2, 0.1871), (3, 0.2683), (5, 0.3483), (7, 0.3900)])
+    def test_pinned_critical_disturbances(self, d, d_c_prime):
+        # the clone steers (I_AC > log2 d) above D'_c; B and C carry equal information at D*
+        def information(D):
+            return shared_information(phase_covariant_gamma(D, d))
+
+        top = (d - 1) / d
+        assert abs(_bisect(lambda D: np.log2(d) - information(D)[1], 0.0, top, 1e-12) - d_c_prime) < 5e-5
+        d_star = _bisect(lambda D: information(D)[0] - information(D)[1], 0.0, top, 1e-12)
+        assert abs(d_star - (1 - 1 / np.sqrt(d)) / 2) < 1e-9
+        i_ab, i_ac = information(d_star)
+        assert abs(i_ab - i_ac) < 1e-9 and i_ab < np.log2(d)
+        if d == 2:
+            assert abs(i_ab - 0.798) < 5e-4
 
 
 class TestPhaseCovariantGamma:
