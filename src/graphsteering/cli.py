@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from . import __version__
-from .cloner import dirichlet_gamma, shared_information
+from .cloner import no_sharing_scan
 from .graphs import Bipartition, NotTwoColorable, make_star, parse_graph
 from .protocol import InsufficientData, ProtocolConfig, estimate_rates, run_protocol
 from .schmidt import NoCorrelationForm
@@ -282,26 +282,19 @@ def nosharing(d, samples, seed, out):
 
     Each attack leaves A with two-setting information I_AB about B and I_AC
     about the clone C.  max_total is the largest I_AB + I_AC, within bound =
-    2 log2 d, and violations counts the attacks under which both exceed
-    log2 d, so that B and C would both steer; any violation exits 1.
+    2 log2 d, and violations counts the attacks under which both are strictly
+    above log2 d, so that B and C would both steer; any violation exits 1.
     """
     if d < 2 or samples < 1:
         _refuse("bad ranges")
     _check_seed(seed)
     _check_width("--d", d)
     _bound("--d", d, NOSHARING_BYTES_PER_ENTRY * d * d)
-    rng = np.random.default_rng(seed)
-    log_d = float(np.log2(d))
-    max_total = 0.0
-    violations = 0
-    for _ in range(samples):
-        i_ab, i_ac = shared_information(dirichlet_gamma(d, rng))
-        max_total = max(max_total, i_ab + i_ac)
-        violations += min(i_ab, i_ac) > log_d + 1e-9
+    max_total, violations = no_sharing_scan(d, samples, np.random.default_rng(seed))
     payload = {
         "samples": samples,
         "max_total": max_total,
-        "bound": 2 * log_d,
+        "bound": 2 * float(np.log2(d)),
         "violations": violations,
         "manifest": _manifest("nosharing", {"d": d, "samples": samples}, seed=seed),
     }

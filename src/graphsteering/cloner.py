@@ -219,3 +219,14 @@ def phase_covariant_gamma(D: float, d: int) -> GammaDistribution:
 def dirichlet_gamma(d: int, rng: np.random.Generator) -> GammaDistribution:
     """Symmetric Dirichlet sample (concentration 1) over the d*d simplex."""
     return GammaDistribution(rng.dirichlet(np.ones(d * d)).reshape(d, d))
+
+
+def no_sharing_scan(d: int, samples: int, rng: np.random.Generator):
+    """(largest I_AB + I_AC, count of attacks with min(I_AB, I_AC) > log2 d) over ``samples`` Dirichlet attacks."""
+    log_d = float(np.log2(d))
+    max_total, violations = 0.0, 0
+    for _ in range(samples):
+        i_ab, i_ac = shared_information(dirichlet_gamma(d, rng))
+        max_total = max(max_total, i_ab + i_ac)
+        violations += min(i_ab, i_ac) > log_d
+    return max_total, violations

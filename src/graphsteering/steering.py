@@ -15,11 +15,6 @@ from .graphs import Bipartition, Graph
 from .registers import DensityOperator, PureState
 from .schmidt import derive_setting
 
-# Strict steering inequality: require the margin to clear floating-point noise.
-STEERING_MARGIN = 1e-10
-# Bracket width at which the bisection for D_c stops.
-CRITICAL_DISTURBANCE_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class SteeringReport:
@@ -66,14 +61,16 @@ def _log_terms(d: int, D):
 
 
 def _matched_information(d: int, p):
-    """(log2 d, I) with I = log2 d - H(p(d-1)/d), the information of (1-p) eye/d + p/d^2.
+    """(log2 d, I, I + I - log2 d) with I = log2 d - H(p(d-1)/d), the information of (1-p) eye/d + p/d^2.
 
-    Its marginals are uniform.  A float p gives floats; an array p gives I elementwise.
+    Its marginals are uniform.  Every command's one steering rule is margin I + I - log2 d > 0,
+    with no slack.  A float p gives floats; an array p gives I and the margin elementwise.
     """
     if not (isinstance(p, float) and 0.0 <= p <= 1.0 or np.all((0.0 <= p) & (p <= 1.0))):  # a NaN fails too
         raise ValueError(f"noise intensity must be in [0, 1], got {p}")
     log_d, h = _log_terms(d, p * (d - 1) / d)
-    return log_d, log_d - h
+    i_m = log_d - h
+    return log_d, i_m, i_m + i_m - log_d
 
 
 def steering_statistic(
@@ -81,43 +78,47 @@ def steering_statistic(
 ) -> SteeringReport:
     """Per-setting mutual information of the p-noisy graph state versus the log2(d) floor.
 
-    ``settings`` must be the cut's pair from ``derive_both_settings``, which
-    refuses the cuts that have none; every pair it accepts gives both
-    settings the matched closed form, so they are not read again here.
+    ``steerable`` is ``margin > 0``, as ``key_rate_curve``'s r_lower > 0 is:
+    both flip at ``critical_noise(d)``.  ``settings`` must be the cut's pair
+    from ``derive_both_settings``, which refuses the cuts that have none;
+    every pair it accepts gives both settings the matched closed form, so
+    they are not read again here.
     """
-    threshold, i_m = _matched_information(d, p)
-    i_m = float(i_m)
-    i_total = i_m + i_m
-    margin = i_total - threshold
+    threshold, i_m, margin = _matched_information(d, p)
+    i_m, margin = float(i_m), float(margin)
     return SteeringReport(
         i_per_setting=(i_m, i_m),
-        i_total=i_total,
+        i_total=i_m + i_m,
         threshold=threshold,
-        steerable=margin > STEERING_MARGIN,
+        steerable=margin > 0.0,
         margin=margin,
     )
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Midpoint of a bracket [lo, hi] with f > 0 at lo and f <= 0 at hi, halved until narrower than tol."""
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+def _bisect(f, lo: float, hi: float) -> float:
+    """Root of f in a bracket [lo, hi] with f > 0 at lo and f <= 0 at hi, to adjacent floats.
+
+    Halves until the midpoint equals an endpoint (about 55 halvings on (0, 1)) and returns hi:
+    the least float tested with f <= 0, whose float neighbour below was tested with f > 0.
+    """
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) > 0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 def critical_noise(d: int) -> float:
     """Noise intensity where the certified total information of a cut hits log2(d).
 
-    White noise p reaches each matched setting as the disturbance
-    D = p(d-1)/d, so the total 2(log2 d - H(D)) hits log2 d where H(D) =
-    log2(d)/2: at ``critical_disturbance(d)``.  Below the returned value the
-    noisy state is certified steerable.
+    The least float p at which ``steering_statistic`` stops certifying
+    steering (and ``key_rate_curve``'s r_lower is 0); at the float below it
+    certifies.  Bisection on (0, 1) to adjacent floats.
     """
-    return critical_disturbance(d) * d / (d - 1)
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    return _bisect(lambda p: _matched_information(d, p)[2], 0.0, 1.0)
 
 
 def noise_threshold(g: Graph, d: int, part: Bipartition) -> float:
@@ -144,13 +145,10 @@ def disturbance_entropy(D, d: int):
 def critical_disturbance(d: int) -> float:
     """Disturbance at which the key-rate bound vanishes: root of H(D) = log2(d)/2.
 
-    Bisection on (0, (d-1)/d); H has infinite slope at D -> 0, so bisection is
-    used for robustness.
+    White noise p reaches each matched setting as D = p(d-1)/d, so this is the D that the
+    steering rule 2(log2 d - H(D)) > log2 d reads at ``critical_noise(d)``, where it fails.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    target = 0.5 * np.log2(d)
-    return _bisect(lambda D: target - disturbance_entropy(D, d), 0.0, (d - 1) / d, CRITICAL_DISTURBANCE_TOL)
+    return critical_noise(d) * (d - 1) / d
 
 
 def key_rate_curve(d: int, p_grid) -> np.ndarray:
@@ -162,10 +160,8 @@ def key_rate_curve(d: int, p_grid) -> np.ndarray:
     ``steering_statistic`` at its p.
     """
     p = np.asarray(p_grid, dtype=float).reshape(-1)
-    threshold, i_m = _matched_information(d, p)
-    i_total = i_m + i_m
-    excess = i_total - threshold
-    return np.stack([p, i_total, np.where(excess > 0.0, excess, 0.0)], axis=-1)
+    _, i_m, excess = _matched_information(d, p)
+    return np.stack([p, i_m + i_m, np.where(excess > 0.0, excess, 0.0)], axis=-1)
 
 
 def key_rate_scan(g: Graph, d: int, part: Bipartition, p_grid) -> np.ndarray:

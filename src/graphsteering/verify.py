@@ -21,7 +21,6 @@ from . import (
     ProtocolConfig,
     critical_disturbance,
     derive_both_settings,
-    dirichlet_gamma,
     disturbance_entropy,
     make_chain,
     make_grid,
@@ -30,7 +29,7 @@ from . import (
     phase_covariant_gamma,
     stabilizer_table,
 )
-from .cloner import pair_tables, shared_information
+from .cloner import no_sharing_scan, pair_tables, shared_information
 from .protocol import setting_pair_tables
 from .schmidt import mix_white_noise
 from .steering import critical_noise, key_rate_curve
@@ -74,33 +73,34 @@ def check_mutual_information_bounds():
 
 
 def check_no_sharing():
-    """B and the clone C never both steer: I_AB and I_AC are not both above log2 d.
+    """B and the clone C never both steer: I_AB and I_AC are not both strictly above log2 d.
 
-    Over random attacks, and at the phase-covariant attack's D* = (1 - 1/sqrt d)/2,
-    where the two are equal and below log2 d, so that neither copy steers.
+    Over random attacks, by ``nosharing``'s scan, and at the phase-covariant attack's
+    D* = (1 - 1/sqrt d)/2, where the two are equal and below log2 d, so that neither copy steers.
     """
     rng = np.random.default_rng(41)
     for d in (2, 3, 5):
-        for _ in range(100):
-            i_ab, i_ac = shared_information(dirichlet_gamma(d, rng))
-            assert min(i_ab, i_ac) <= np.log2(d) + 1e-9, f"d={d}: I_AB {i_ab}, I_AC {i_ac}"
+        _, violations = no_sharing_scan(d, 100, rng)
+        assert violations == 0, f"d={d}: {violations} of 100 attacks leave both copies above log2 d"
         i_ab, i_ac = shared_information(phase_covariant_gamma((1 - 1 / np.sqrt(d)) / 2, d))
         assert abs(i_ab - i_ac) < 1e-12 and i_ab < np.log2(d), f"d={d}: I_AB {i_ab}, I_AC {i_ac} at D*"
 
 
 def check_critical_disturbance():
+    """dc's D_c is the paper's, and log2 d - 2 H(D) changes sign across it at float resolution."""
     for d, expected in ((2, 0.1100), (3, 0.1595)):
         dc = critical_disturbance(d)
         assert abs(dc - expected) < 5e-4, f"D_c({d}) = {dc}"
-        assert abs(disturbance_entropy(dc, d) - 0.5 * np.log2(d)) < 1e-8
+        below, above = (np.log2(d) - 2 * disturbance_entropy(dc * s, d) for s in (1 - 1e-14, 1 + 1e-14))
+        assert below > 0.0 > above, f"d={d}: log2 d - 2 H(D) is {below} below D_c={dc}, {above} above"
 
 
 def check_noise_threshold():
-    """fig5's p_noise is where certify's closed form stops giving a key rate: r_lower > 0 just below it, 0 just above."""
+    """fig5's p_noise is where certify's closed form stops giving a key rate: r_lower > 0 below it, 0 above."""
     p_noise = {d: critical_noise(d) for d in (2, 3, 1448)}
     assert abs(p_noise[2] - 0.22) < 1e-3, f"p_noise(2) = {p_noise[2]}"
     for d, p in p_noise.items():
-        (_, _, below), (_, _, above) = key_rate_curve(d, [p - 1e-6, p + 1e-6])
+        (_, _, below), (_, _, above) = key_rate_curve(d, [p * (1 - 1e-14), p * (1 + 1e-14)])
         assert below > 0.0 and above == 0.0, f"d={d}: r_lower {below} below p_noise={p}, {above} above"
 
 

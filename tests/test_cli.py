@@ -19,12 +19,15 @@ import oracle
 from graphsteering import (
     Bipartition,
     cli,
+    cloner,
     dirichlet_gamma,
+    disturbance_entropy,
     graphstate,
     make_star,
     noise_threshold,
     shared_information,
 )
+from graphsteering import verify as verify_module
 from graphsteering.cli import (
     FIG4_BYTES_PER_ROW,
     GRAPH_BYTES_PER_ELEMENT,
@@ -265,6 +268,21 @@ class TestCertify:
     def test_csv_row_text(self, runner, star3_file, p, row):
         res = runner.invoke(main, ["certify", star3_file, "--p", p, "--format", "csv"])
         assert res.output.splitlines()[2] == row
+
+    @pytest.mark.parametrize("p", ["0", "1"])
+    def test_csv_is_the_json_record(self, runner, star3_file, p):
+        # a field added to SteeringReport must reach both formats, in the record's order
+        record = json.loads(runner.invoke(main, ["certify", star3_file, "--p", p]).output)
+        fields = []
+        for key, value in record.items():
+            if key == "i_per_setting":
+                fields += [("i_setting_1", value[0]), ("i_setting_2", value[1])]
+            elif key != "manifest":
+                fields.append((key, value))
+        res = runner.invoke(main, ["certify", star3_file, "--p", p, "--format", "csv"])
+        _, header, rows = parse_csv(res.output)
+        assert header == [key for key, _ in fields]
+        assert rows == [[str(value) for _, value in fields]]
 
     def test_out_file_written_atomically(self, runner, star3_file, tmp_path):
         out = tmp_path / "report.json"
@@ -507,6 +525,25 @@ class TestFig5AndDc:
         assert res.exit_code == 2
         assert res.stderr == f"error: {option} {d} is not below 2**64\n"
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 7, 16, 1448, 10 ** 6])
+    def test_commands_flip_at_the_printed_thresholds(self, runner, tmp_path, d):
+        # certify and fig4 steer a relative 1e-14 below fig5's p_noise and not as far above; the
+        # D_c inequality holds and fails the same way around dc's D_c
+        graph = tmp_path / "star3.json"
+        graph.write_text(json.dumps({"n": 3, "d": d, "edges": [[1, 2], [1, 3]]}))
+        [[_, p_noise]] = parse_csv(runner.invoke(main, ["fig5", "--d", str(d)]).output)[2]
+        for p, steers in ((float(p_noise) * (1 - 1e-14), True), (float(p_noise) * (1 + 1e-14), False)):
+            res = runner.invoke(main, ["certify", str(graph), "--p", repr(p)])
+            assert json.loads(res.output)["steerable"] is steers, f"p={p!r}"
+            res = runner.invoke(main, ["fig4", "--d", str(d), "--p-max", repr(p), "--steps", "2"])
+            _, _, rows = parse_csv(res.output)
+            r_lower = float(rows[-1][4])
+            assert r_lower > 0.0 if steers else r_lower == 0.0, f"p={p!r}: r_lower {r_lower}"
+        [[_, d_c]] = parse_csv(runner.invoke(main, ["dc", "--d", str(d)]).output)[2]
+        log_d = np.log2(d)
+        for D, holds in ((float(d_c) * (1 - 1e-14), True), (float(d_c) * (1 + 1e-14), False)):
+            assert (2 * (log_d - disturbance_entropy(D, d)) > log_d) == holds, f"D={D!r}"
+
     def test_consistency_between_commands(self, runner):
         res_dc = runner.invoke(main, ["dc", "--d", "2,3"])
         res_f5 = runner.invoke(main, ["fig5", "--d", "2,3"])
@@ -535,7 +572,7 @@ class TestNoSharing:
 
     @pytest.mark.parametrize("informations, violations, code", [((1.5, 1.5), 3, 1), ((1.5, 0.4), 0, 0)])
     def test_violation_needs_both_copies_to_steer(self, runner, monkeypatch, informations, violations, code):
-        monkeypatch.setattr(cli, "shared_information", lambda g: informations)
+        monkeypatch.setattr(cloner, "shared_information", lambda g: informations)
         res = runner.invoke(main, ["nosharing", "--d", "2", "--samples", "3"])
         assert res.exit_code == code
         assert json.loads(res.output)["violations"] == violations
@@ -850,7 +887,7 @@ class TestLargestAcceptedSizes:
 
     def test_nosharing_bound_at_boundary(self, runner, monkeypatch):
         # the next d is refused before any attack is drawn
-        monkeypatch.setattr(cli, "dirichlet_gamma", reached)
+        monkeypatch.setattr(cli, "no_sharing_scan", reached)
         res = runner.invoke(main, ["nosharing", "--d", str(LARGEST_NOSHARING_D), "--samples", "1"])
         assert isinstance(res.exception, Reached)
         res = runner.invoke(main, ["nosharing", "--d", str(LARGEST_NOSHARING_D + 1), "--samples", "1"])
@@ -894,6 +931,15 @@ class TestVerify:
         assert res.exit_code == 0
         assert "FAIL" not in res.output
         assert "invariant checks passed" in res.output
+
+    @pytest.mark.parametrize("shift", [-1e-12, 1e-12])
+    def test_threshold_off_its_float_boundary_fails(self, runner, monkeypatch, shift):
+        for name in ("critical_disturbance", "critical_noise"):
+            monkeypatch.setattr(verify_module, name, lambda d, f=getattr(verify_module, name): f(d) + shift)
+        res = runner.invoke(main, ["verify"])
+        assert res.exit_code == 1
+        assert "[FAIL] critical-disturbance" in res.output
+        assert "[FAIL] noise-threshold-consistency" in res.output
 
     def test_builds_no_dense_state(self, runner, monkeypatch):
         def refuse(*args, **kwargs):

@@ -243,9 +243,9 @@ class TestCloneInformation:
             return shared_information(phase_covariant_gamma(D, d))
 
         top = (d - 1) / d
-        assert abs(_bisect(lambda D: np.log2(d) - information(D)[1], 0.0, top, 1e-12) - d_c_prime) < 5e-5
-        d_star = _bisect(lambda D: information(D)[0] - information(D)[1], 0.0, top, 1e-12)
-        assert abs(d_star - (1 - 1 / np.sqrt(d)) / 2) < 1e-9
+        assert abs(_bisect(lambda D: np.log2(d) - information(D)[1], 0.0, top) - d_c_prime) < 5e-5
+        d_star = _bisect(lambda D: information(D)[0] - information(D)[1], 0.0, top)
+        assert abs(d_star - (1 - 1 / np.sqrt(d)) / 2) < 1e-15
         i_ab, i_ac = information(d_star)
         assert abs(i_ab - i_ac) < 1e-9 and i_ab < np.log2(d)
         if d == 2:

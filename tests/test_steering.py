@@ -319,6 +319,36 @@ def test_float_path_calls_no_numpy_but_one_log2(monkeypatch):
     assert [noise_threshold(g, 3, part), critical_disturbance(3)] == want[2:]
 
 
+def floats_away(x, k):
+    """The k-th float above x, or below it for a negative k."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+class TestOneStrictRule:
+    """certify's verdict, r_lower > 0 and the D_c inequality flip at fig5's p_noise and dc's D_c."""
+
+    DIMENSIONS = [*range(2, 201), 256, 257, 1000, 1448, 4096, 10 ** 6, 2 ** 63, 2 ** 64 - 1]
+
+    def test_verdicts_agree_and_flip_within_4_floats(self):
+        g = make_star(3)
+        part = Bipartition.from_side_a(g, {1})
+        for d in self.DIMENSIONS:
+            settings = derive_both_settings(g, d, part)
+            p_noise, d_c = steering.critical_noise(d), critical_disturbance(d)
+            grid = np.linspace(p_noise - 1e-12, p_noise + 1e-12, 201).tolist()
+            grid += [floats_away(p_noise, k) for k in range(-8, 9)]
+            certified = [steering_statistic(g, d, settings, part, p).steerable for p in grid]
+            assert certified == (steering.key_rate_curve(d, grid)[:, 2] > 0.0).tolist(), f"d={d}"
+            low, high = floats_away(p_noise, -4), floats_away(p_noise, 4)
+            assert all(ok for p, ok in zip(grid, certified) if p <= low), f"d={d}: not steerable below {p_noise}"
+            assert not any(ok for p, ok in zip(grid, certified) if p >= high), f"d={d}: steerable above {p_noise}"
+            log_d = np.log2(d)
+            holds = [2 * (log_d - disturbance_entropy(floats_away(d_c, k), d)) > log_d for k in range(-8, 9)]
+            assert holds == [True] * 5 + holds[5:12] + [False] * 5, f"d={d}: D_c={d_c}"
+
+
 class TestCriticalDisturbance:
     def test_reference_values(self):
         assert abs(critical_disturbance(2) - 0.1100) < 5e-4
