@@ -156,10 +156,22 @@ class _RefusingGroup(click.Group):
 
 
 def _load_graph(path: str):
-    """The file's graph and d, refused before anything lists its vertices."""
+    """The file's graph and d, refused before anything lists its vertices.
+
+    A file over MEMORY_LIMIT_BYTES is refused before it is read, and a text
+    with more edges than the element bound admits before it is decoded: every
+    edge opens a "[" beside the edge list's own, so ``text.count("[") - 1``
+    bounds |E|.  The decoded graph is then held to the n + |E| bound.
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            g, d = parse_graph(handle.read())
+            file_bytes = os.fstat(handle.fileno()).st_size
+            if file_bytes > MEMORY_LIMIT_BYTES:
+                _refuse(f"graph file {path} has {file_bytes} bytes, over the {MEMORY_LIMIT_BYTES}-byte limit")
+            text = handle.read()
+        edges = text.count("[") - 1
+        _bound("graph |E| of at most", edges, GRAPH_BYTES_PER_ELEMENT * edges)
+        g, d = parse_graph(text)
     except ValueError as exc:
         _refuse(str(exc))
     size = g.n_vertices + len(g.edges)

@@ -69,9 +69,6 @@ class Graph:
         """
         return two_color(self)
 
-    def neighbors(self, v: int) -> frozenset:
-        return frozenset(self.adjacency[v])
-
 
 @dataclass(frozen=True)
 class TwoColoring:

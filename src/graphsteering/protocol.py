@@ -72,14 +72,12 @@ class Transcript:
     setting_b: np.ndarray
     outcome_a: np.ndarray
     outcome_b: np.ndarray
-    sifted: np.ndarray
     d: int
 
-    def sifted_counts(self, m: int) -> np.ndarray:
-        """d x d table of sifted (a, b) counts for setting m."""
-        if m not in (1, 2):
-            raise ValueError(f"setting must be 1 or 2, got {m}")
-        return self.sifted_tables()[m - 1]
+    @property
+    def sifted(self) -> np.ndarray:
+        """The rounds whose two settings match."""
+        return self.setting_a == self.setting_b
 
     def sifted_tables(self) -> np.ndarray:
         """Sifted (a, b) counts of both settings, shape (2, d, d), under one ``bincount`` key.
@@ -116,7 +114,7 @@ class Transcript:
         where the layout changes.
         """
         columns = (self.setting_a, self.setting_b, self.outcome_a, self.outcome_b)
-        start, rounds = 0, len(self.sifted)
+        start, rounds = 0, len(self.setting_a)
         if not rounds:
             return
         widths = [len(str(int(c.max()))) for c in columns]
@@ -133,7 +131,7 @@ class Transcript:
                 rows[filled:] = template
                 filled = len(rows)
             chunk = [c[start:stop] for c in columns]
-            stream.write(_jsonl_rows(rows, start, chunk, widths, self.sifted[start:stop]))
+            stream.write(_jsonl_rows(rows, start, chunk, widths))
             start = stop
 
 
@@ -167,14 +165,14 @@ def _write_round_numbers(cells: np.ndarray, first_round: int) -> None:
             cells[wrap:, :-4] = np.frombuffer(str(high + 1).encode(), np.uint8)
 
 
-def _jsonl_rows(rows: np.ndarray, first_round: int, columns: list, widths: list, sifted: np.ndarray) -> bytes:
+def _jsonl_rows(rows: np.ndarray, first_round: int, columns: list, widths: list) -> bytes:
     """The records of rounds ``first_round, ...``, from ``rows`` whose constant cells are in place.
 
     Each row of the byte matrix ``rows`` holds one record with every integer
     at its field's width, digits right-aligned; every digit and ``sifted``
-    cell is written here.  The unused leading digit cells and the cell
-    before ``true}`` hold NUL, which ``bytes.replace`` deletes,
-    ``JSONL_PIECE_ROWS`` rows at a time.  Reusing the rows of one buffer and
+    cell is written here, the latter from the two setting columns.  The
+    unused leading digit cells and the cell before ``true}`` hold NUL, which
+    ``bytes.replace`` deletes, ``JSONL_PIECE_ROWS`` rows at a time.  Reusing the rows of one buffer and
     the small pieces keep the chunk from faulting in fresh pages: a new
     matrix and a chunk-sized copy beside its NUL-free copy made glibc's
     allocator hand back and fault in again some hundred pages a chunk.
@@ -192,6 +190,7 @@ def _jsonl_rows(rows: np.ndarray, first_round: int, columns: list, widths: list,
             rows[:, col - 1 - power] = char
             v = rest
     col += len(_KEYS[-1])
+    sifted = columns[0] == columns[1]
     rows[:, col:col + 4].view(np.uint32)[:, 0] = _SIFTED_CELLS.take(sifted.view(np.uint8))
     pieces = range(0, len(rows), JSONL_PIECE_ROWS)
     return b"".join([rows[i:i + JSONL_PIECE_ROWS].tobytes().replace(b"\0", b"") for i in pieces])
@@ -206,11 +205,8 @@ class RateEstimate:
     steerable_hat: bool
 
 
-_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2))
-
-
-def setting_pair_tables(cfg: ProtocolConfig) -> dict:
-    """Analytic joint table for every (m_a, m_b) pair under the configured model.
+def setting_pair_tables(cfg: ProtocolConfig) -> np.ndarray:
+    """Analytic joint tables of the setting pairs (1, 1), (1, 2), (2, 1), (2, 2), shape (4, d, d).
 
     The cut's settings are derived first, so an odd cycle or a cut that no
     edge crosses is refused as ``certify`` refuses it.  The tables are
@@ -219,7 +215,7 @@ def setting_pair_tables(cfg: ProtocolConfig) -> dict:
     """
     derive_both_settings(cfg.graph, cfg.d, cfg.part)  # refuses the cuts certify refuses
     tables = pair_tables(phase_covariant_gamma(cfg.cloner_disturbance or 0.0, cfg.d))
-    return dict(zip(_PAIRS, mix_white_noise(tables, cfg.noise_p)))
+    return mix_white_noise(tables, cfg.noise_p)
 
 
 def _cdf(table: np.ndarray) -> np.ndarray:
@@ -258,13 +254,12 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     holds 2 and d - 1.
     """
     d = cfg.d
-    tables = setting_pair_tables(cfg)
-    cdfs = [_cdf(tables[pair]) for pair in _PAIRS]
+    cdfs = [_cdf(table) for table in setting_pair_tables(cfg)]
     rng = np.random.default_rng(cfg.seed)
     column = np.min_scalar_type(max(2, d - 1))
     ma = rng.integers(1, 3, size=cfg.rounds).astype(column)
     mb = rng.integers(1, 3, size=cfg.rounds).astype(column)
-    code = ma * 2 + mb  # 3, 4, 5, 6 in the order of _PAIRS
+    code = ma * 2 + mb  # 3, 4, 5, 6 in the order of the tables
     flat = np.empty(cfg.rounds, dtype=np.min_scalar_type(d * d - 1))
     for key, cdf in enumerate(cdfs, start=3):
         index = np.flatnonzero(code == key)
@@ -276,14 +271,7 @@ def run_protocol(cfg: ProtocolConfig) -> Transcript:
     np.floor_divide(flat, d, out=a_out, casting="unsafe")
     np.multiply(a_out, d & np.iinfo(column).max, out=b_out, casting="unsafe")
     np.subtract(flat, b_out, out=b_out, casting="unsafe")
-    return Transcript(
-        setting_a=ma,
-        setting_b=mb,
-        outcome_a=a_out,
-        outcome_b=b_out,
-        sifted=ma == mb,
-        d=d,
-    )
+    return Transcript(setting_a=ma, setting_b=mb, outcome_a=a_out, outcome_b=b_out, d=d)
 
 
 def estimate_rates(t: Transcript, d: int) -> RateEstimate:
@@ -292,8 +280,11 @@ def estimate_rates(t: Transcript, d: int) -> RateEstimate:
     The plug-in estimate of one setting's information over n rounds and d^2
     cells is biased upward by at most log2(1 + (d^2 - 1)/n) (Paninski 2003),
     so ``i_lower_total`` subtracts that from each setting; the verdict and
-    the key rate read it, not the plug-in ``i_hat_total``.
+    the key rate read it, not the plug-in ``i_hat_total``.  ``d`` must be the
+    transcript's own.
     """
+    if d != t.d:
+        raise ValueError(f"d {d} does not match the transcript's d {t.d}")
     counts = t.sifted_tables()
     rounds = tuple(counts.sum(axis=(1, 2)).tolist())
     for m, total in enumerate(rounds, start=1):

@@ -15,24 +15,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import (
-    Bipartition,
-    Graph,
-    ProtocolConfig,
+from .cloner import no_sharing_scan, pair_tables, phase_covariant_gamma, shared_information
+from .graphs import Bipartition, Graph, make_chain, make_grid, make_star
+from .infotheory import mutual_information
+from .protocol import ProtocolConfig, setting_pair_tables
+from .schmidt import mix_white_noise, stabilizer_table
+from .steering import (
     critical_disturbance,
+    critical_noise,
     derive_both_settings,
     disturbance_entropy,
-    make_chain,
-    make_grid,
-    make_star,
-    mutual_information,
-    phase_covariant_gamma,
-    stabilizer_table,
+    key_rate_curve,
 )
-from .cloner import no_sharing_scan, pair_tables, shared_information
-from .protocol import setting_pair_tables
-from .schmidt import mix_white_noise
-from .steering import critical_noise, key_rate_curve
 
 
 def check_ideal_correlations():
@@ -56,7 +50,7 @@ def check_ideal_correlations():
         part = Bipartition.from_side_a(g, side_a)
         settings = derive_both_settings(g, d, part)
         stack = stabilizer_table(g, d, [(sa, sb) for sa in settings for sb in settings], part)
-        protocol_tables = np.stack(list(setting_pair_tables(ProtocolConfig(g, d, part)).values()))
+        protocol_tables = setting_pair_tables(ProtocolConfig(g, d, part))
         assert np.max(np.abs(stack - protocol_tables)) < 1e-10, f"N={g.n_vertices}, d={d}: protocol tables"
         tables = stack[[0, 3]]  # the matched pairs (1, 1) and (2, 2)
         assert np.max(np.abs(tables - np.eye(d) / d)) < 1e-10

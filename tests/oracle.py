@@ -197,10 +197,10 @@ def least_generator_forms(g, d: int, part, m: int):
 
 def jsonl_by_record(t) -> str:
     """The transcript as ``json.dumps`` of one dict per round."""
-    columns = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b, t.sifted)
+    columns = (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b)
     return "".join(
-        json.dumps({"round": k, "ma": ma, "mb": mb, "a": a, "b": b, "sifted": s}) + "\n"
-        for k, (ma, mb, a, b, s) in enumerate(zip(*(c.tolist() for c in columns)))
+        json.dumps({"round": k, "ma": ma, "mb": mb, "a": a, "b": b, "sifted": ma == mb}) + "\n"
+        for k, (ma, mb, a, b) in enumerate(zip(*(c.tolist() for c in columns)))
     )
 
 
@@ -213,18 +213,16 @@ def choice_by_pair(cfg) -> protocol.Transcript:
     mb = rng.integers(1, 3, size=cfg.rounds).astype(column)
     a_out = np.zeros(cfg.rounds, dtype=column)
     b_out = np.zeros(cfg.rounds, dtype=column)
-    for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        mask = (ma == pair[0]) & (mb == pair[1])
+    for (m_a, m_b), table in zip(((1, 1), (1, 2), (2, 1), (2, 2)), tables):
+        mask = (ma == m_a) & (mb == m_b)
         count = int(mask.sum())
         if count == 0:
             continue
-        flat = tables[pair].reshape(-1)
+        flat = table.reshape(-1)
         draws = rng.choice(len(flat), size=count, p=flat / flat.sum())
         a_out[mask] = draws // cfg.d
         b_out[mask] = draws % cfg.d
-    return protocol.Transcript(
-        setting_a=ma, setting_b=mb, outcome_a=a_out, outcome_b=b_out, sifted=ma == mb, d=cfg.d
-    )
+    return protocol.Transcript(setting_a=ma, setting_b=mb, outcome_a=a_out, outcome_b=b_out, d=cfg.d)
 
 
 def masked_counts(t, m: int) -> np.ndarray:

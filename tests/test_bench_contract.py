@@ -4,6 +4,8 @@ import functools
 import importlib
 import importlib.util
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 from hypothesis import given, settings as hyp_settings, strategies as st
@@ -22,6 +24,7 @@ from graphsteering import (
 )
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+SRC = BENCH.parent / "src"
 
 
 def load_bench(name):
@@ -46,6 +49,33 @@ def test_every_tracing_target_resolves():
             continue
         assert callable(target), span
     assert not missing, missing
+
+
+# Loads the program as bench/run.py's load_program does, installs every span and restores them.
+INSTALL_AND_RESTORE = """
+import importlib, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+importlib.import_module("graphsteering")
+importlib.import_module("graphsteering.cli")
+import tracing
+modules = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "graphsteering"}
+before = {name: dict(vars(m)) for name, m in modules.items()}
+to_jsonl = sys.modules["graphsteering.protocol"].Transcript.to_jsonl
+patched = tracing.install(tracing.Tracer())
+assert len(patched) >= len(tracing.TARGETS), patched
+tracing.restore(patched)
+for name, m in modules.items():
+    assert all(vars(m)[key] is value for key, value in before[name].items()), name
+assert sys.modules["graphsteering.protocol"].Transcript.to_jsonl is to_jsonl
+"""
+
+
+def test_tracer_installs_on_the_program_bench_loads():
+    # install looks each traced module up in sys.modules, so it fails if importing the CLI stops loading one
+    proc = subprocess.run(
+        [sys.executable, "-c", INSTALL_AND_RESTORE, str(SRC), str(BENCH)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_traced_transcript_bytes_match_file(tmp_path):

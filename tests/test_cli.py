@@ -899,6 +899,25 @@ class TestLargestAcceptedSizes:
         proc = run_child(star_command("certify", LARGEST_STAR, tmp_path), baseline + MEMORY_LIMIT_BYTES)
         assert proc.returncode == 0, proc.stderr
 
+    def test_chain_refused_before_decoding(self, baseline, tmp_path):
+        # chain(1.5M) is a 28 MB file within the file bound; json.loads of it ran out of memory here
+        n = 1_500_000
+        path = tmp_path / "chain.json"
+        path.write_text('{"n": %d, "d": 2, "edges": [%s]}' % (n, ", ".join(f"[{k}, {k + 1}]" for k in range(1, n))))
+        proc = run_child(["certify", str(path)], baseline + MEMORY_LIMIT_BYTES)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"error: graph |E| of at most {n - 1} needs")
+
+    def test_file_over_the_limit_refused_before_reading(self, baseline, tmp_path):
+        path = tmp_path / "large.json"
+        with open(path, "wb") as handle:  # sparse: one byte past the limit, no data written before it
+            handle.seek(MEMORY_LIMIT_BYTES)
+            handle.write(b" ")
+        proc = run_child(["certify", str(path)], baseline + MEMORY_LIMIT_BYTES)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: graph file {path} has {MEMORY_LIMIT_BYTES + 1} bytes, over the")
+
     @pytest.mark.parametrize("command", ["certify", "qss"])
     def test_graph_bound_at_boundary(self, runner, monkeypatch, tmp_path, command):
         # the next star is refused before its vertices are listed or the star is built

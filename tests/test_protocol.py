@@ -72,15 +72,16 @@ class TestSettingPairTables:
     def test_matched_pairs_ideal(self):
         cfg = star3_config(rounds=10)
         tables = setting_pair_tables(cfg)
-        for m in (1, 2):
-            np.testing.assert_allclose(tables[(m, m)], np.eye(2) / 2, atol=1e-10)
+        assert tables.shape == (4, 2, 2)
+        for table in tables[[0, 3]]:  # the matched pairs (1, 1) and (2, 2)
+            np.testing.assert_allclose(table, np.eye(2) / 2, atol=1e-10)
 
     def test_all_tables_normalized(self):
         for cfg in (
             star3_config(rounds=10, noise_p=0.3),
             star3_config(rounds=10, cloner_disturbance=0.1, noise_p=0.2),
         ):
-            for table in setting_pair_tables(cfg).values():
+            for table in setting_pair_tables(cfg):
                 assert table.min() >= -1e-12
                 assert abs(table.sum() - 1.0) < 1e-10
 
@@ -100,17 +101,14 @@ class TestSettingPairTables:
                 setting_pair_tables(cfg)
             return
         want = mix_white_noise(stabilizer_table(g, d, [(sa, sb) for sa in settings for sb in settings], part), p)
-        tables = setting_pair_tables(cfg)
-        got = np.stack([tables[ma, mb] for ma in (1, 2) for mb in (1, 2)])
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(setting_pair_tables(cfg), want, rtol=0, atol=1e-12)
 
     def test_cloner_matched_diagonal_weight(self):
         # matched-setting agreement probability is 1 - D under the attack
         for disturbance in (0.1, 0.2):
             cfg = star3_config(rounds=10, cloner_disturbance=disturbance)
-            tables = setting_pair_tables(cfg)
-            for m in (1, 2):
-                agree = np.trace(tables[(m, m)])
+            for table in setting_pair_tables(cfg)[[0, 3]]:
+                agree = np.trace(table)
                 assert abs(agree - (1.0 - disturbance)) < 1e-10
 
 
@@ -185,12 +183,11 @@ class TestRunProtocol:
     def test_matches_choice_sampler_on_distinct_tables(self, monkeypatch, d, rounds):
         # the physical tables have (1, 1) == (2, 2) and (1, 2) == (2, 1), which hides the pair order
         rng = np.random.default_rng(d * rounds)
-        tables = {}
-        for pair in ((1, 1), (1, 2), (2, 1), (2, 2)):
-            table = rng.random((d, d))
+        tables = np.empty((4, d, d))
+        for table, (m_a, m_b) in zip(tables, ((1, 1), (1, 2), (2, 1), (2, 2))):
+            table[:] = rng.random((d, d))
             table[rng.random((d, d)) < 0.3] = 0.0
-            table[pair[0] - 1, pair[1] - 1] = 1.0
-            tables[pair] = table
+            table[m_a - 1, m_b - 1] = 1.0
         monkeypatch.setattr(protocol, "setting_pair_tables", lambda cfg: tables)
         g = make_star(3)
         cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), rounds=rounds, seed=rounds)
@@ -204,7 +201,7 @@ class TestRunProtocol:
                 table[:] = 0.0
             else:
                 table[0, 1] = bad
-            return dict.fromkeys(((1, 1), (1, 2), (2, 1), (2, 2)), table)
+            return np.stack([table] * 4)
 
         monkeypatch.setattr(protocol, "setting_pair_tables", tables)
         with pytest.raises(ValueError, match="joint table"):
@@ -238,9 +235,7 @@ class TestAttackedTables:
             for p in (0.0, 0.3):
                 cfg = ProtocolConfig(graph=g, d=d, part=Bipartition.from_side_a(g, {1}), noise_p=p,
                                      cloner_disturbance=disturbance)
-                tables = setting_pair_tables(cfg)
-                got = np.stack([tables[pair] for pair in pairs])
-                np.testing.assert_allclose(got, mix_white_noise(joints, p), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(setting_pair_tables(cfg), mix_white_noise(joints, p), rtol=0, atol=1e-12)
 
 
 class TestEstimateRates:
@@ -307,7 +302,6 @@ class TestEstimateRates:
             setting_b=np.array([1, 2, 2]),
             outcome_a=np.array([0, 1, 0]),
             outcome_b=np.array([0, 1, 1]),
-            sifted=np.array([True, True, False]),
             d=2,
         )
         est = estimate_rates(t, 2)
@@ -320,7 +314,6 @@ class TestEstimateRates:
             setting_b=np.array([1, 2]),
             outcome_a=np.array([0, 0]),
             outcome_b=np.array([0, 0]),
-            sifted=np.array([True, False]),
             d=2,
         )
         with pytest.raises(InsufficientData):
@@ -334,11 +327,17 @@ class TestEstimateRates:
             setting_b=np.array([present, missing, present]),
             outcome_a=np.array([0, 1, 0]),
             outcome_b=np.array([0, 1, 1]),
-            sifted=np.array([True, False, False]),
             d=2,
         )
         with pytest.raises(InsufficientData, match=f"^no sifted rounds for setting m={missing}$"):
             estimate_rates(t, 2)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_mismatched_d_refused(self, d):
+        # at d=3 and d=1 a d=2 transcript read r_hat_lower 0.41 and 2.0
+        t = run_protocol(star3_config(rounds=1000, seed=3))
+        with pytest.raises(ValueError, match=f"^d {d} does not match the transcript's d 2$"):
+            estimate_rates(t, d)
 
     @pytest.mark.parametrize("d", [2, 3, 17])
     @pytest.mark.parametrize("chunk", [protocol.COUNT_CHUNK_ROUNDS, 4099])
@@ -349,10 +348,7 @@ class TestEstimateRates:
                              rounds=20_000, seed=d)
         t = run_protocol(cfg)
         tables = [masked_counts(t, m) for m in (1, 2)]
-        for m, want in zip((1, 2), tables):
-            np.testing.assert_array_equal(t.sifted_counts(m), want)
-        with pytest.raises(ValueError, match="setting must be 1 or 2"):
-            t.sifted_counts(0)
+        np.testing.assert_array_equal(t.sifted_tables(), tables)
         est = estimate_rates(t, d)
         totals = [int(table.sum()) for table in tables]
         assert est.sifted_rounds == tuple(totals)
@@ -386,8 +382,7 @@ class TestTranscriptExport:
             ),
         ):
             t = run_protocol(cfg)
-            for m in (1, 2):
-                counts = t.sifted_counts(m)
+            for m, counts in zip((1, 2), t.sifted_tables()):
                 mask = t.sifted & (t.setting_a == m)
                 assert counts.sum() == int(mask.sum())
                 manual = np.zeros((cfg.d, cfg.d), dtype=int)
@@ -418,14 +413,14 @@ class TestTranscriptExport:
         a, b = rng.integers(0, top, size=(2, rounds))
         if narrow:  # the column type run_protocol stores
             ma, mb, a, b = (c.astype(np.min_scalar_type(max(2, d - 1))) for c in (ma, mb, a, b))
-        t = Transcript(setting_a=ma, setting_b=mb, outcome_a=a, outcome_b=b, sifted=ma == mb, d=d)
+        t = Transcript(setting_a=ma, setting_b=mb, outcome_a=a, outcome_b=b, d=d)
         buf = io.BytesIO()
         t.to_jsonl(buf)
         assert buf.getvalue() == jsonl_by_record(t).encode()
 
     def test_zero_rounds_write_nothing(self):
         empty = np.zeros(0, dtype=np.int64)
-        t = Transcript(empty, empty, empty, empty, np.zeros(0, dtype=bool), d=2)
+        t = Transcript(empty, empty, empty, empty, d=2)
         buf = io.StringIO()
         t.to_jsonl(buf)
         assert buf.getvalue() == ""
@@ -465,8 +460,8 @@ class TestHigherDimension:
         t = run_protocol(cfg)
         for column in (t.setting_a, t.setting_b, t.outcome_a, t.outcome_b):
             assert column.dtype == np.uint8
-        for m in (1, 2):
+        for m, counts in zip((1, 2), t.sifted_tables()):
             mask = t.sifted & (t.setting_a == m)
             manual = np.zeros((17, 17), dtype=int)
             np.add.at(manual, (t.outcome_a[mask].astype(int), t.outcome_b[mask].astype(int)), 1)
-            np.testing.assert_array_equal(t.sifted_counts(m), manual)
+            np.testing.assert_array_equal(counts, manual)

@@ -571,11 +571,11 @@ def exhaustive_informative(g, d, coloring, part, m):
     other side of the cut.
     """
     generators = sorted(coloring.color_class(1 if m == 1 else 0))
-    neighbor_sets = {a: g.neighbors(a) for a in generators}
+    adjacency = g.adjacency
     for n_vec in itertools.product(range(d), repeat=len(generators)):
         cross = {}
         for a, n_a in zip(generators, n_vec):
-            for b in neighbor_sets[a]:
+            for b in adjacency[a]:
                 if (a in part.side_a) != (b in part.side_a):
                     cross[b] = cross.get(b, 0) + n_a
         if math.gcd(d, *cross.values()) == 1:
